@@ -82,3 +82,50 @@ func BenchmarkExpandUninstrumented(b *testing.B) {
 		}
 	}
 }
+
+// pprEnv is the PPR fallback's benchmark graph: scale 10 000, where a
+// hub-seed pivot walks ~18k entities. Built once per process.
+var (
+	pprOnce  sync.Once
+	pprRes   *synth.Result
+	pprSeeds []rdf.TermID
+)
+
+func pprSetup() (*synth.Result, []rdf.TermID) {
+	pprOnce.Do(func() {
+		pprRes = synth.Generate(synth.Scaled(10000))
+		pprSeeds = pprRes.Manifest.Genres[:2]
+	})
+	return pprRes, pprSeeds
+}
+
+// BenchmarkExpandPPR measures the PPR fallback a hub-seed pivot drops
+// into: the dense walk over the frozen adjacency from two genre seeds,
+// top 20. The adjacency is built by one warm-up call, as in serving.
+func BenchmarkExpandPPR(b *testing.B) {
+	res, seeds := pprSetup()
+	x := expand.New(semfeat.NewEngine(res.Graph), expand.Options{SameTypeOnly: true})
+	x.ExpandWith(expand.MethodPPR, seeds, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(x.ExpandWith(expand.MethodPPR, seeds, 20)) == 0 {
+			b.Fatal("empty expansion")
+		}
+	}
+}
+
+// BenchmarkExpandPPRSpec is the same call through the map-based spec
+// (ppr_spec_test.go); benchgates.json holds the dense walk to at most a
+// tenth of its time and a hundredth of its allocations, in-run.
+func BenchmarkExpandPPRSpec(b *testing.B) {
+	res, seeds := pprSetup()
+	x := expand.New(semfeat.NewEngine(res.Graph), expand.Options{SameTypeOnly: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(specPPR(res.Graph, x.Options(), seeds, 20)) == 0 {
+			b.Fatal("empty expansion")
+		}
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"pivote/internal/kg"
@@ -305,28 +304,23 @@ func (x *Expander) expandFeatureCount(ctx context.Context, seeds []rdf.TermID, k
 }
 
 // nbrScratch pools the dense working state of the neighbourhood
-// baselines: an epoch-stamped visited array for per-set deduplication
-// (same pattern as the scorer's scratch), a second stamp for candidate
-// collection, and reusable ID buffers. Replacing the per-call
-// map[rdf.TermID]bool removed the last per-pivot map allocation in the
-// package.
+// baselines: an epoch-stamped array for candidate collection (the same
+// pattern as the scorer's scratch) and reusable ID buffers. Neighbour
+// sets themselves are runs of the graph's frozen adjacency
+// (kg.Graph.Related), so no per-call set is built at all.
 type nbrScratch struct {
-	epoch     uint32
-	stamp     []uint32 // per-call neighbour dedup
 	candEpoch uint32
 	candStamp []uint32 // candidate-set dedup
-	buf       []rdf.TermID
 	seeds     []rdf.TermID
 	types     []rdf.TermID
 }
 
 var nbrPool = sync.Pool{New: func() interface{} { return &nbrScratch{} }}
 
-// begin sizes the stamp arrays for n term IDs and opens a fresh
+// begin sizes the stamp array for n term IDs and opens a fresh
 // candidate epoch.
 func (ns *nbrScratch) begin(n int) {
-	if len(ns.stamp) < n {
-		ns.stamp = make([]uint32, n)
+	if len(ns.candStamp) < n {
 		ns.candStamp = make([]uint32, n)
 	}
 	ns.candEpoch++
@@ -338,38 +332,10 @@ func (ns *nbrScratch) begin(n int) {
 	}
 }
 
-// neighborAppend appends the distinct semantic entity neighbours of e to
-// dst and returns it sorted ascending. dst must be empty (or nil); the
-// pooled stamp array deduplicates without allocating.
-func (x *Expander) neighborAppend(ns *nbrScratch, dst []rdf.TermID, e rdf.TermID) []rdf.TermID {
-	ns.epoch++
-	if ns.epoch == 0 {
-		for i := range ns.stamp {
-			ns.stamp[i] = 0
-		}
-		ns.epoch = 1
-	}
-	voc := x.g.Voc()
-	for _, edge := range x.g.Store().Out(e) {
-		if !voc.IsMeta(edge.P) && x.g.IsEntity(edge.Node) && ns.stamp[edge.Node] != ns.epoch {
-			ns.stamp[edge.Node] = ns.epoch
-			dst = append(dst, edge.Node)
-		}
-	}
-	for _, edge := range x.g.Store().In(e) {
-		if !voc.IsMeta(edge.P) && x.g.IsEntity(edge.Node) && ns.stamp[edge.Node] != ns.epoch {
-			ns.stamp[edge.Node] = ns.epoch
-			dst = append(dst, edge.Node)
-		}
-	}
-	slices.Sort(dst)
-	return dst
-}
-
 // expandNeighbors implements the common-neighbour and Jaccard baselines.
 // Candidates are entities at distance 2 from a seed (sharing at least one
-// neighbour). Neighbour sets are sorted ID runs deduplicated through the
-// pooled stamps; intersections are linear merges.
+// neighbour). Neighbour sets are the sorted runs of the frozen adjacency;
+// intersections are linear merges.
 func (x *Expander) expandNeighbors(ctx context.Context, seeds []rdf.TermID, k int, jaccard bool) ([]Ranked, error) {
 	ns := nbrPool.Get().(*nbrScratch)
 	defer nbrPool.Put(ns)
@@ -384,10 +350,9 @@ func (x *Expander) expandNeighbors(ctx context.Context, seeds []rdf.TermID, k in
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		seedNbrs[i] = x.neighborAppend(ns, nil, s)
+		seedNbrs[i] = x.g.Related(s)
 		for _, n := range seedNbrs[i] {
-			ns.buf = x.neighborAppend(ns, ns.buf[:0], n)
-			for _, c := range ns.buf {
+			for _, c := range x.g.Related(n) {
 				if !x.opts.IncludeSeeds && rdf.ContainsSorted(sortedSeeds, c) {
 					continue
 				}
@@ -425,12 +390,12 @@ func (x *Expander) expandNeighbors(ctx context.Context, seeds []rdf.TermID, k in
 				return nil, err
 			}
 		}
-		ns.buf = x.neighborAppend(ns, ns.buf[:0], c)
+		cn := x.g.Related(c)
 		score := 0.0
 		for i := range seeds {
-			inter := rdf.IntersectSorted(ns.buf, seedNbrs[i])
+			inter := rdf.IntersectSorted(cn, seedNbrs[i])
 			if jaccard {
-				union := len(ns.buf) + len(seedNbrs[i]) - inter
+				union := len(cn) + len(seedNbrs[i]) - inter
 				if union > 0 {
 					score += float64(inter) / float64(union)
 				}
@@ -441,111 +406,6 @@ func (x *Expander) expandNeighbors(ctx context.Context, seeds []rdf.TermID, k in
 		if score > 0 {
 			ranked = append(ranked, Ranked{Entity: c, Name: x.g.Name(c), Score: score})
 		}
-	}
-	return x.top(ranked, k), nil
-}
-
-// expandPPR runs a power-iteration personalized PageRank from the seeds
-// over the semantic entity graph (edges treated as bidirectional, uniform
-// transition probabilities).
-func (x *Expander) expandPPR(ctx context.Context, seeds []rdf.TermID, k int) ([]Ranked, error) {
-	if len(seeds) == 0 {
-		return nil, nil
-	}
-	alpha := x.opts.PPRAlpha
-	restart := map[rdf.TermID]float64{}
-	for _, s := range seeds {
-		restart[s] += 1.0 / float64(len(seeds))
-	}
-	p := map[rdf.TermID]float64{}
-	for s, v := range restart {
-		p[s] = v
-	}
-	// Neighbour lists are recomputed per iteration frontier but memoized
-	// across iterations: the frontier stabilizes quickly. Each list is
-	// built through the pooled stamp dedup, not a per-node set map.
-	sc := nbrPool.Get().(*nbrScratch)
-	defer nbrPool.Put(sc)
-	sc.begin(x.denseSize())
-	nbrCache := map[rdf.TermID][]rdf.TermID{}
-	neighbors := func(e rdf.TermID) []rdf.TermID {
-		if ns, ok := nbrCache[e]; ok {
-			return ns
-		}
-		ns := x.neighborAppend(sc, nil, e)
-		nbrCache[e] = ns
-		return ns
-	}
-	// Accumulation follows sorted node order so floating-point sums are
-	// identical across runs (map iteration order is randomized in Go).
-	sortedNodes := func(m map[rdf.TermID]float64) []rdf.TermID {
-		out := make([]rdf.TermID, 0, len(m))
-		for e := range m {
-			out = append(out, e)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	restartNodes := sortedNodes(restart)
-	const prune = 1e-9
-	for it := 0; it < x.opts.PPRIterations; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		next := map[rdf.TermID]float64{}
-		for _, s := range restartNodes {
-			next[s] += alpha * restart[s]
-		}
-		for _, e := range sortedNodes(p) {
-			mass := p[e]
-			ns := neighbors(e)
-			if len(ns) == 0 {
-				// Dangling mass restarts.
-				for _, s := range restartNodes {
-					next[s] += (1 - alpha) * mass * restart[s]
-				}
-				continue
-			}
-			share := (1 - alpha) * mass / float64(len(ns))
-			for _, n := range ns {
-				next[n] += share
-			}
-		}
-		for e, v := range next {
-			if v < prune {
-				delete(next, e)
-			}
-		}
-		p = next
-	}
-	seedSet := map[rdf.TermID]bool{}
-	for _, s := range seeds {
-		seedSet[s] = true
-	}
-	var seedTypes map[rdf.TermID]bool
-	if x.opts.SameTypeOnly {
-		seedTypes = map[rdf.TermID]bool{}
-		for _, s := range seeds {
-			if t := x.g.PrimaryType(s); t != rdf.NoTerm {
-				seedTypes[t] = true
-			}
-		}
-	}
-	ranked := make([]Ranked, 0, len(p))
-	for e, v := range p {
-		if !x.opts.IncludeSeeds && seedSet[e] {
-			continue
-		}
-		if !x.g.IsEntity(e) {
-			continue
-		}
-		if seedTypes != nil && !seedTypes[x.g.PrimaryType(e)] {
-			continue
-		}
-		if x.opts.Owned != nil && !x.opts.Owned(e) {
-			continue
-		}
-		ranked = append(ranked, Ranked{Entity: e, Name: x.g.Name(e), Score: v})
 	}
 	return x.top(ranked, k), nil
 }

@@ -1,7 +1,9 @@
 package kg
 
 import (
+	"slices"
 	"sort"
+	"sync"
 
 	"pivote/internal/rdf"
 )
@@ -29,6 +31,13 @@ type Graph struct {
 	isEntity    []bool
 	primaryType []rdf.TermID
 	catSize     []int32
+
+	// Frozen semantic entity adjacency (see Related), built on first
+	// use: relOff has length MaxTermID+2 and node id's distinct
+	// neighbours, ascending, are relAdj[relOff[id]:relOff[id+1]].
+	relOnce sync.Once
+	relOff  []uint32
+	relAdj  []rdf.TermID
 }
 
 // NewGraph builds the graph view. The store must already be frozen.
@@ -231,26 +240,42 @@ func (g *Graph) SimilarNames(e rdf.TermID) []string {
 
 // Related returns the distinct entities connected to e by semantic
 // (non-metadata) predicates in either direction, sorted by ID — the
-// "related entity names" field of Table 1 uses their labels.
+// "related entity names" field of Table 1 uses their labels, and the
+// neighbourhood baselines and the PPR walk of package expand traverse
+// them. The slice is a run of the graph's frozen adjacency, shared by
+// every caller: do not modify it. An ID beyond the store's term range
+// (a term minted after the store froze) has no neighbours.
 func (g *Graph) Related(e rdf.TermID) []rdf.TermID {
-	seen := map[rdf.TermID]bool{}
-	for _, edge := range g.store.Out(e) {
-		if g.voc.IsMeta(edge.P) {
-			continue
-		}
-		if g.IsEntity(edge.Node) {
-			seen[edge.Node] = true
-		}
+	g.relOnce.Do(g.buildRelated)
+	if int(e)+1 >= len(g.relOff) {
+		return nil
 	}
-	for _, edge := range g.store.In(e) {
-		if g.voc.IsMeta(edge.P) {
-			continue
+	return g.relAdj[g.relOff[e]:g.relOff[e+1]]
+}
+
+// buildRelated freezes the semantic entity adjacency of every term ID
+// into one CSR: both edge directions, deduplicated through an
+// epoch-stamped array, each run sorted ascending.
+func (g *Graph) buildRelated() {
+	n := int(g.store.MaxTermID()) + 1
+	off := make([]uint32, n+1)
+	stamp := make([]uint32, n)
+	var adj []rdf.TermID
+	for id := 0; id < n; id++ {
+		start := len(adj)
+		epoch := uint32(id) + 1
+		for _, edges := range [2][]rdf.Edge{g.store.Out(rdf.TermID(id)), g.store.In(rdf.TermID(id))} {
+			for _, edge := range edges {
+				if !g.voc.IsMeta(edge.P) && g.IsEntity(edge.Node) && stamp[edge.Node] != epoch {
+					stamp[edge.Node] = epoch
+					adj = append(adj, edge.Node)
+				}
+			}
 		}
-		if g.IsEntity(edge.Node) {
-			seen[edge.Node] = true
-		}
+		slices.Sort(adj[start:])
+		off[id+1] = uint32(len(adj))
 	}
-	return sortedIDs(seen)
+	g.relOff, g.relAdj = off, slices.Clip(adj)
 }
 
 // Abstract returns the first abstract literal of e, or "".

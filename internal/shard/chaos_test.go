@@ -348,6 +348,94 @@ func TestChaosResyncAfterMissedWrite(t *testing.T) {
 	}
 }
 
+// TestSwapStraddleRead pins the swap straddle: a read that leaves for
+// a replica before a rolling swap commits and answers after it carries
+// the old generation, and that alone must not mark the replica stale.
+// At 1 shard × 1 replica a wrongly dirtied replica turns every later
+// request into a 503 until the next swap, so the held read and the one
+// after it must both succeed and the replica must stay clean.
+func TestSwapStraddleRead(t *testing.T) {
+	f := kgtest.Build()
+	fault := NewFaultTransport(nil)
+	cl := NewCluster(f.Graph, ClusterConfig{
+		Shards:   1,
+		Replicas: 1,
+		Opts:     core.Options{},
+		Live:     true,
+		Router:   chaosOpts(),
+		Fault:    fault,
+	})
+	t.Cleanup(func() { _ = cl.Close() })
+	c := newEquivClient(t, cl.Handler())
+
+	submit := equivStep{"submit", "POST", "/api/v1/ops", `{"ops":[{"op":"submit","keywords":"tom hanks"}]}`}
+	if code, body, _ := c.do(t, submit); code != http.StatusOK {
+		t.Fatalf("submit: status %d: %s", code, body)
+	}
+	// Pending writes, so the swap below publishes a new generation.
+	const nt = "<http://pivote.dev/resource/Straddle_Film> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://pivote.dev/resource/Film> .\n"
+	resp, err := c.client.Post(c.ts.URL+"/api/v1/ingest", "application/n-triples", strings.NewReader(nt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+	before := cl.Router.committedGen()
+
+	// Hold the next answer of the replica: the state read is computed
+	// on the old generation, and delivered only after the swap commits.
+	held, release := make(chan struct{}), make(chan struct{})
+	fault.Push(chaosHost(0, 0), Fault{Hold: func() {
+		close(held)
+		<-release
+	}})
+	type answer struct {
+		code int
+		body string
+		err  error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		resp, err := c.client.Get(c.ts.URL + "/api/v1/state")
+		if err != nil {
+			got <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		got <- answer{resp.StatusCode, string(data), err}
+	}()
+	<-held
+	compact, err := c.client.Post(c.ts.URL+"/api/v1/compact", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = compact.Body.Close()
+	if compact.StatusCode != http.StatusOK {
+		t.Fatalf("compact: status %d", compact.StatusCode)
+	}
+	if after := cl.Router.committedGen(); after <= before {
+		t.Fatalf("swap committed generation %d, want > %d", after, before)
+	}
+	close(release)
+
+	a := <-got
+	if a.err != nil {
+		t.Fatalf("held state read: %v", a.err)
+	}
+	if a.code != http.StatusOK {
+		t.Fatalf("held state read: status %d: %s", a.code, a.body)
+	}
+	if cl.Router.health[0][0].isDirty() {
+		t.Fatal("replica marked dirty by a read that straddled the swap commit")
+	}
+	if code, body, _ := c.do(t, equivStep{"state", "GET", "/api/v1/state", ""}); code != http.StatusOK {
+		t.Fatalf("state after swap: status %d: %s", code, body)
+	}
+}
+
 // TestHammerReplicatedChaos is the replicated race hammer: a 4-shard ×
 // 2-replica live cluster serves concurrent sessions while an ingest
 // loop drives >= 10 rolling swaps AND a chaos loop kills and revives

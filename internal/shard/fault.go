@@ -19,7 +19,8 @@ import (
 //     state it had, exactly like a process that was only partitioned.
 //   - Push: a FIFO of one-shot faults per host; each request to the
 //     host consumes (at most) one and suffers it. Faults model dropped
-//     requests, slow replicas, server errors and torn response bodies.
+//     requests, slow replicas, server errors, torn response bodies and
+//     answers delivered late.
 //
 // All methods are safe for concurrent use; the race hammer scripts
 // kills from one goroutine while request goroutines consume them.
@@ -47,6 +48,11 @@ type Fault struct {
 	// case. The router treats an unreadable body as a transport
 	// failure, never as an answer.
 	TruncateAt int
+	// Hold, when non-nil, runs after the node has answered and before
+	// the answer is handed back: a response-side stall. A test blocks
+	// in it to deliver an answer computed before some event (a swap
+	// commit, say) only after that event.
+	Hold func()
 }
 
 // NewFaultTransport wraps next. A nil next can be set later with Wrap.
@@ -136,6 +142,9 @@ func (f *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := next.RoundTrip(req)
 	if err != nil {
 		return nil, err
+	}
+	if ok && fault.Hold != nil {
+		fault.Hold()
 	}
 	if ok && fault.TruncateAt > 0 {
 		resp.Body = io.NopCloser(&truncatedBody{r: resp.Body, n: fault.TruncateAt})

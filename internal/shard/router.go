@@ -594,6 +594,11 @@ func (rt *Router) stateful(ctx context.Context, rs *routerSession, k int, method
 	firstServerReplica := -1
 	var lastErr error
 	for i, r := range order {
+		// The generation committed when the hop leaves is the one the
+		// answer must reach: a swap that commits while the hop is in
+		// flight does not make the replica stale, but a replica that
+		// missed an earlier swap still answers below this mark.
+		committed := rt.committedGen()
 		resp, err := rt.statefulReplica(ctx, reqCtx, rs, k, r, method, pathq, hb, retries)
 		if err != nil {
 			if errs.KindOf(err) == errs.KindCanceled {
@@ -605,7 +610,7 @@ func (rt *Router) stateful(ctx context.Context, rs *routerSession, k int, method
 			}
 			continue
 		}
-		if g, ok := resp.generation(); ok && resp.status == http.StatusOK && g < rt.committedGen() {
+		if g, ok := resp.generation(); ok && resp.status == http.StatusOK && g < committed {
 			// The replica answered from a generation the cluster moved
 			// past — it revived after missing a swap. Serving it would
 			// un-happen acknowledged writes; resync it instead. The
@@ -614,7 +619,7 @@ func (rt *Router) stateful(ctx context.Context, rs *routerSession, k int, method
 			rt.health[k][r].markDirty("behind committed generation")
 			rs.synced[k][r] = unsynced
 			lastErr = errs.Errf(errs.KindUnavailable,
-				"shard %d replica %d: generation %d behind committed %d", k, r, g, rt.committedGen())
+				"shard %d replica %d: generation %d behind committed %d", k, r, g, committed)
 			resp.free()
 			continue
 		}
