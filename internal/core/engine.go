@@ -119,7 +119,7 @@ func (r *Result) Graph() *kg.Graph { return r.g }
 // index, the KG tables and the semantic-feature cache. In the static
 // configuration (NewShared) there is exactly one generation and nothing
 // else ever runs; in the live configuration (NewLiveShared) ingest
-// batches accumulate in the store's delta log and a background compactor
+// batches accumulate in the store's write log and a background compactor
 // publishes fresh generations with an RCU swap. Every accessor reads the
 // current generation; engines pin one generation per operation so a
 // request never observes a half-switched graph.

@@ -10,9 +10,9 @@ import (
 // process (all shards, all replicas of an in-process cluster) shares
 // them, which is exactly what a per-process /metrics scrape wants.
 var (
-	stageHist      [obs.NumStages]*obs.Histogram
-	opSeconds      map[OpKind]*obs.Histogram
-	opsTotal       map[OpKind]*obs.Counter
+	stageHist       [obs.NumStages]*obs.Histogram
+	opSeconds       map[OpKind]*obs.Histogram
+	opsTotal        map[OpKind]*obs.Counter
 	opBatchSeconds  *obs.Histogram
 	opErrorsTotal   *obs.Counter
 	evalCacheHits   *obs.Counter

@@ -2,7 +2,7 @@
 // reproduction: standard IR metrics, deterministic workload generators
 // that derive ground truth from the synthetic knowledge graph, and the
 // experiment drivers that regenerate every table and figure listed in
-// DESIGN.md (T1, F1–F4, E5–E9, A1–A3).
+// DESIGN.md (T1, F1–F4, E5–E10, A1–A4).
 package eval
 
 import (

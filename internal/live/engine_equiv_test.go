@@ -55,9 +55,10 @@ func TestEngineEquivalenceAcrossSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: a from-scratch store holding exactly the view's triples.
+	// Reference: a from-scratch store holding exactly the generation's
+	// triples (nothing is pending after the compaction).
 	ref := rdf.NewStore(dict)
-	ls.View().ForEachTriple(func(tr rdf.Triple) { ref.Add(tr.S, tr.P, tr.O) })
+	ls.Generation().Store().ForEachTriple(func(tr rdf.Triple) { ref.Add(tr.S, tr.P, tr.O) })
 	ref.Freeze()
 	refShared := core.NewShared(kg.NewGraph(ref), opts)
 

@@ -1,6 +1,6 @@
 // Package live is the write path of the PivotE stack: a generational
 // graph layer that serves every read from an immutable generation while
-// absorbing writes into an in-memory delta log.
+// absorbing writes into an in-memory log.
 //
 // A Generation bundles the frozen read structures the rest of the system
 // was built around — the CSR triple store, the entity-centric kg.Graph
@@ -9,18 +9,19 @@
 // generation can serve any number of concurrent readers with the exact
 // performance of the frozen-only stack.
 //
-// Writes (adds and tombstones) append to a log guarded by a writer mutex
-// and are published as an immutable Delta — per-node sorted edge runs
-// that mirror the CSR layout. A View pairs one generation with one delta
-// and resolves reads by merging the base CSR run with the delta run,
-// k-way style, exactly like the PR 3 posting merge. A background
-// compactor materializes the view into a fresh store (reusing Freeze,
-// index build and kg table construction), carries the feature cache
-// forward entry-by-entry, and publishes the new generation with an
-// atomic.Pointer swap — the RCU pattern: in-flight requests keep the
-// *Generation they loaded, no read ever blocks on a write, and the old
-// generation is reclaimed by the garbage collector once the last pinned
-// reader drops it (Go's GC is the grace period).
+// Writes (adds and tombstones) append to an arrival-order log guarded by
+// a writer mutex and fold into a last-writer-wins map of final states; a
+// View pairs one generation with the two counts each batch updates
+// (distinct pending triples, and the graph size once they are folded
+// in). Reads never consult the log. A background compactor folds a log
+// prefix into a fresh store — the generation's triples minus tombstones,
+// plus adds — rebuilds it (reusing Freeze, index build and kg table
+// construction), carries the feature cache forward entry-by-entry, and
+// publishes the new generation with an atomic.Pointer swap — the RCU
+// pattern: in-flight requests keep the *Generation they loaded, no read
+// ever blocks on a write, and the old generation is reclaimed by the
+// garbage collector once the last pinned reader drops it (Go's GC is the
+// grace period).
 //
 // All generations of one Store share a single append-only rdf.Dictionary,
 // so TermIDs are stable across swaps: session state (seeds, pinned
@@ -81,9 +82,9 @@ type Generation struct {
 func (gen *Generation) Mapping() *snap.Mapping { return gen.mapping }
 
 // newGeneration builds a generation from a frozen graph. prev supplies
-// the feature-cache entries to carry forward; touched is the delta's
-// write set (nil means nothing to carry — a fresh cache). own, when
-// non-nil, partitions the generation's serving paths (see Own).
+// the feature-cache entries to carry forward; touched is the compacted
+// writes' touched set (nil means nothing to carry — a fresh cache). own,
+// when non-nil, partitions the generation's serving paths (see Own).
 func newGeneration(id uint64, g *kg.Graph, params *search.Params, prev *semfeat.FeatureCache, touched, own func(rdf.TermID) bool) *Generation {
 	var searcher *search.Engine
 	if params != nil {

@@ -15,8 +15,8 @@ import (
 )
 
 // rebuild materializes the expected triple set into a from-scratch
-// frozen store over the same dictionary — the reference every overlay
-// read must be byte-identical to.
+// frozen store over the same dictionary — the reference every compacted
+// generation must be byte-identical to.
 func rebuild(dict *rdf.Dictionary, triples map[rdf.Triple]bool) *rdf.Store {
 	st := rdf.NewStore(dict)
 	for t, present := range triples {
@@ -28,7 +28,7 @@ func rebuild(dict *rdf.Dictionary, triples map[rdf.Triple]bool) *rdf.Store {
 	return st
 }
 
-// collect snapshots a store or view's full triple sequence in iteration
+// collectStore snapshots a store's full triple sequence in iteration
 // order.
 func collectStore(st *rdf.Store) []rdf.Triple {
 	var out []rdf.Triple
@@ -36,60 +36,27 @@ func collectStore(st *rdf.Store) []rdf.Triple {
 	return out
 }
 
-func collectView(v *View) []rdf.Triple {
-	var out []rdf.Triple
-	v.ForEachTriple(func(t rdf.Triple) { out = append(out, t) })
-	return out
-}
-
-// assertEquivalent checks every read path of the overlay against the
-// from-scratch rebuild: full iteration order, per-node adjacency in both
-// directions, degrees, predicate extents and membership probes.
-func assertEquivalent(t *testing.T, v *View, want *rdf.Store) {
+// assertStoreEquivalent checks a compacted generation's store against
+// the from-scratch rebuild: full iteration order, size, ID bound and
+// per-node adjacency in both directions.
+func assertStoreEquivalent(t *testing.T, got, want *rdf.Store) {
 	t.Helper()
-	if got, exp := collectView(v), collectStore(want); !reflect.DeepEqual(got, exp) {
-		t.Fatalf("ForEachTriple diverged: overlay %d triples, rebuild %d", len(got), len(exp))
+	if g, w := collectStore(got), collectStore(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("ForEachTriple diverged: compacted %d triples, rebuild %d", len(g), len(w))
 	}
-	if v.Len() != want.Len() {
-		t.Fatalf("Len: overlay %d, rebuild %d", v.Len(), want.Len())
+	if got.Len() != want.Len() {
+		t.Fatalf("Len: compacted %d, rebuild %d", got.Len(), want.Len())
 	}
-	maxID := v.MaxTermID()
-	if wantMax := want.MaxTermID(); maxID != wantMax {
-		t.Fatalf("MaxTermID: overlay %d, rebuild %d", maxID, wantMax)
-	}
-	preds := map[rdf.TermID]bool{}
-	for id := rdf.TermID(1); id <= maxID; id++ {
-		out, in := v.Out(id), v.In(id)
-		if wo := want.Out(id); !equalEdges(out, wo) {
-			t.Fatalf("Out(%d): overlay %v, rebuild %v", id, out, wo)
-		}
-		if wi := want.In(id); !equalEdges(in, wi) {
-			t.Fatalf("In(%d): overlay %v, rebuild %v", id, in, wi)
-		}
-		if v.OutDegree(id) != want.OutDegree(id) || v.InDegree(id) != want.InDegree(id) {
-			t.Fatalf("degree mismatch at %d", id)
-		}
-		for _, e := range out {
-			preds[e.P] = true
-			if !v.Has(id, e.P, e.Node) {
-				t.Fatalf("Has(%d,%d,%d) = false for present triple", id, e.P, e.Node)
-			}
-		}
+	maxID := want.MaxTermID()
+	if got.MaxTermID() != maxID {
+		t.Fatalf("MaxTermID: compacted %d, rebuild %d", got.MaxTermID(), maxID)
 	}
 	for id := rdf.TermID(1); id <= maxID; id++ {
-		for p := range preds {
-			if got, exp := v.Objects(id, p), want.Objects(id, p); !equalIDs(got, exp) {
-				t.Fatalf("Objects(%d,%d): overlay %v, rebuild %v", id, p, got, exp)
-			}
-			if got, exp := v.Subjects(p, id), want.Subjects(p, id); !equalIDs(got, exp) {
-				t.Fatalf("Subjects(%d,%d): overlay %v, rebuild %v", p, id, got, exp)
-			}
-			if v.CountObjects(id, p) != want.CountObjects(id, p) {
-				t.Fatalf("CountObjects(%d,%d) mismatch", id, p)
-			}
-			if v.CountSubjects(p, id) != want.CountSubjects(p, id) {
-				t.Fatalf("CountSubjects(%d,%d) mismatch", p, id)
-			}
+		if g, w := got.Out(id), want.Out(id); !equalEdges(g, w) {
+			t.Fatalf("Out(%d): compacted %v, rebuild %v", id, g, w)
+		}
+		if g, w := got.In(id), want.In(id); !equalEdges(g, w) {
+			t.Fatalf("In(%d): compacted %v, rebuild %v", id, g, w)
 		}
 	}
 }
@@ -120,8 +87,10 @@ func equalIDs(a, b []rdf.TermID) bool {
 
 // TestOverlayEquivalence drives random batches of adds and tombstones —
 // including duplicates, re-adds of removed triples and removals of
-// absent ones — and asserts after every batch that each overlay read is
-// byte-identical to a from-scratch rebuild of the expected triple set.
+// absent ones. After every batch the published counts must match the
+// expected triple set (Len) and the distinct triples written since the
+// last swap (Pending); at every compaction the new generation's store
+// must be byte-identical to a from-scratch rebuild of the expected set.
 func TestOverlayEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dict := rdf.NewDictionary()
@@ -152,6 +121,7 @@ func TestOverlayEquivalence(t *testing.T) {
 	base.Freeze()
 
 	s := NewStore(kg.NewGraph(base), Config{})
+	written := map[rdf.Triple]bool{} // distinct triples since the last swap
 	for batch := 0; batch < 25; batch++ {
 		var adds, dels []rdf.Triple
 		for i := 0; i < 1+rng.Intn(12); i++ {
@@ -160,35 +130,92 @@ func TestOverlayEquivalence(t *testing.T) {
 		for i := 0; i < rng.Intn(8); i++ {
 			dels = append(dels, randTriple())
 		}
-		if _, err := s.Ingest(adds, dels); err != nil {
+		res, err := s.Ingest(adds, dels)
+		if err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
 		for _, tr := range adds {
 			expected[tr] = true
+			written[tr] = true
 		}
 		for _, tr := range dels {
 			delete(expected, tr)
+			written[tr] = true
 		}
-		assertEquivalent(t, s.View(), rebuild(dict, expected))
+		want := rebuild(dict, expected)
+		if v := s.View(); v.Len() != want.Len() || v.Pending() != len(written) || res.Pending != len(written) {
+			t.Fatalf("batch %d: view Len %d Pending %d (ack %d), want Len %d Pending %d",
+				batch, v.Len(), v.Pending(), res.Pending, want.Len(), len(written))
+		}
 
-		// Occasionally fold the delta into a new generation and re-check:
-		// post-swap reads must match the same rebuild with an empty delta.
+		// Periodically fold the log into a new generation: its store must
+		// match the same rebuild, with nothing left pending.
 		if batch%7 == 6 {
 			gen, swapped, err := s.CompactNow()
 			if err != nil {
 				t.Fatalf("compact: %v", err)
 			}
 			if !swapped {
-				t.Fatal("compaction with pending delta reported no swap")
+				t.Fatal("compaction with pending writes reported no swap")
 			}
 			if s.Pending() != 0 {
 				t.Fatalf("pending %d after compaction", s.Pending())
 			}
-			if gen.ID == 0 {
+			if gen.ID == 0 || s.Generation() != gen {
 				t.Fatal("generation did not advance")
 			}
-			assertEquivalent(t, s.View(), rebuild(dict, expected))
+			assertStoreEquivalent(t, gen.Store(), want)
+			if s.View().Len() != want.Len() {
+				t.Fatalf("Len after compaction %d, rebuild %d", s.View().Len(), want.Len())
+			}
+			written = map[rdf.Triple]bool{}
 		}
+	}
+}
+
+// TestIngestAllocsIndependentOfPending: an ingest does O(batch) work
+// under the writer mutex — append to the log, fold into the final map,
+// bump two counts — so a 64-triple batch on top of ~2000 pending triples
+// allocates no more than the same batch on a near-empty log, up to a
+// small constant for map and log growth steps.
+func TestIngestAllocsIndependentOfPending(t *testing.T) {
+	fx := kgtest.Build()
+	dict := fx.Store.Dict()
+	pred := dict.Intern(rdf.NewIRI("http://x/allocs/p"))
+	minted := 0
+	fresh := func() []rdf.Triple {
+		batch := make([]rdf.Triple, 64)
+		for i := range batch {
+			subj := dict.Intern(rdf.NewIRI(fmt.Sprintf("http://x/allocs/s%d", minted)))
+			minted++
+			batch[i] = rdf.Triple{S: subj, P: pred, O: fx.E("Tom_Hanks")}
+		}
+		return batch
+	}
+	const runs = 8
+	allocs := func(pending int) float64 {
+		s := NewStore(fx.Graph, Config{})
+		for s.Pending() < pending {
+			if _, err := s.Ingest(fresh(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batches := make([][]rdf.Triple, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range batches {
+			batches[i] = fresh()
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := s.Ingest(batches[next], nil); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	const slack = 8
+	empty, loaded := allocs(0), allocs(2000)
+	if loaded > empty+slack {
+		t.Fatalf("64-triple ingest at ~2000 pending: %.1f allocs, at 0 pending %.1f (slack %d)", loaded, empty, slack)
 	}
 }
 
@@ -215,31 +242,38 @@ func TestLastWriterWins(t *testing.T) {
 		t.Fatal("could not locate starring predicate")
 	}
 	tr := rdf.Triple{S: gump, P: starring, O: hanks}
-	if !s.View().Has(tr.S, tr.P, tr.O) {
+	has := func() bool { return s.Generation().Store().Has(tr.S, tr.P, tr.O) }
+	if !has() {
 		t.Fatal("fixture triple missing")
 	}
+	baseLen := s.View().Len()
 
 	// Add and remove the same triple in one batch: the log preserves call
 	// order (Ingest appends adds before dels), so the tombstone wins.
 	if _, err := s.Ingest([]rdf.Triple{tr}, []rdf.Triple{tr}); err != nil {
 		t.Fatal(err)
 	}
-	if s.View().Has(tr.S, tr.P, tr.O) {
-		t.Fatal("tombstone in the same batch should win over the add")
+	if v := s.View(); v.Pending() != 1 || v.Len() != baseLen-1 {
+		t.Fatalf("after add+tombstone: pending %d, len %d (base %d)", v.Pending(), v.Len(), baseLen)
 	}
-	// Re-add in a later batch: back alive.
-	if _, err := s.Ingest([]rdf.Triple{tr}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !s.View().Has(tr.S, tr.P, tr.O) {
-		t.Fatal("re-add after tombstone should resurrect the triple")
-	}
-	// Compact and confirm it survived the swap.
 	if _, _, err := s.CompactNow(); err != nil {
 		t.Fatal(err)
 	}
-	if !s.View().Has(tr.S, tr.P, tr.O) {
-		t.Fatal("triple lost across compaction")
+	if has() {
+		t.Fatal("tombstone in the same batch should win over the add")
+	}
+	// Re-add in a later batch: back alive after the next swap.
+	if _, err := s.Ingest([]rdf.Triple{tr}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if v := s.View(); v.Pending() != 1 || v.Len() != baseLen {
+		t.Fatalf("after re-add: pending %d, len %d (base %d)", v.Pending(), v.Len(), baseLen)
+	}
+	if _, _, err := s.CompactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if !has() {
+		t.Fatal("re-add after tombstone should resurrect the triple")
 	}
 }
 
@@ -309,11 +343,11 @@ func TestGenerationPinning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if old.Len() != oldLen || old.Has(tr.S, tr.P, tr.O) {
+	if old.Len() != oldLen || old.Gen.Store().Has(tr.S, tr.P, tr.O) {
 		t.Fatal("pinned view observed a later write")
 	}
-	if !s.View().Has(tr.S, tr.P, tr.O) {
-		t.Fatal("current view missing the ingested triple")
+	if !s.Generation().Store().Has(tr.S, tr.P, tr.O) {
+		t.Fatal("current generation missing the ingested triple")
 	}
 	if s.Generation().ID != old.Gen.ID+1 {
 		t.Fatalf("generation %d, want %d", s.Generation().ID, old.Gen.ID+1)

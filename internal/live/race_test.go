@@ -15,7 +15,7 @@ import (
 )
 
 // TestLiveHammer is the -race stress test of the write path: concurrent
-// engine readers, raw overlay readers and dictionary readers run against
+// engine readers, view and generation readers and dictionary readers run against
 // continuous ingest with both background (threshold-kicked) and forced
 // compaction swaps. No read ever blocks on a write; the race detector
 // proves the synchronization, and a final equivalence check proves no
@@ -68,7 +68,8 @@ func TestLiveHammer(t *testing.T) {
 		}(r)
 	}
 
-	// Overlay readers: merged adjacency walks and membership probes.
+	// View readers: the published counts, plus adjacency walks and
+	// membership probes over the pinned generation's store.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -79,14 +80,19 @@ func TestLiveHammer(t *testing.T) {
 			default:
 			}
 			v := ls.View()
-			n := 0
-			v.ForEachTriple(func(rdf.Triple) { n++ })
-			if n < fx.Store.Len() {
-				t.Errorf("overlay lost base triples: %d < %d", n, fx.Store.Len())
+			if v.Len() < fx.Store.Len() || v.Pending() < 0 {
+				t.Errorf("view counts: len %d < base %d or pending %d", v.Len(), fx.Store.Len(), v.Pending())
 				return
 			}
-			_ = v.Subjects(starring, hanks)
-			_ = v.In(hanks)
+			st := v.Gen.Store()
+			n := 0
+			st.ForEachTriple(func(rdf.Triple) { n++ })
+			if n < fx.Store.Len() || n != st.Len() {
+				t.Errorf("generation %d walked %d triples, len %d, base %d", v.Gen.ID, n, st.Len(), fx.Store.Len())
+				return
+			}
+			_ = st.Subjects(starring, hanks)
+			_ = st.In(hanks)
 		}
 	}()
 

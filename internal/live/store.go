@@ -49,23 +49,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Store is the generational graph: an atomic current View (generation +
-// delta) plus the pending write log. Reads are wait-free — View is one
-// atomic load, and everything reachable from a View is immutable.
-// Writes serialize behind a mutex and publish a fresh View; they never
-// touch anything a reader holds. The compactor (a background goroutine
-// when started, or CompactNow for synchronous control) folds the delta
-// into the next generation and publishes it with an RCU pointer swap.
+// Store is the generational graph: an atomic current View (generation
+// plus pending counts) and the pending write log. Reads are wait-free —
+// View is one atomic load, and everything reachable from a View is
+// immutable. Writes serialize behind a mutex, append to the log and
+// publish a fresh View; they never touch anything a reader holds. The
+// compactor (a background goroutine when started, or CompactNow for
+// synchronous control) folds the log into the next generation and
+// publishes it with an RCU pointer swap.
 type Store struct {
 	cfg  Config
 	view atomic.Pointer[View]
 
-	mu  sync.Mutex // guards log, final, closed, and view publication
+	mu sync.Mutex // guards log, final, net, closed, and view publication
+	// log holds the writes since the current generation, in arrival
+	// order; CompactNow folds an immutable prefix of it.
 	log []logEntry
-	// final is the incrementally maintained fold of log (last writer
-	// wins per triple); kept alongside it so a batch costs O(batch) to
-	// fold plus O(pending) to index, instead of re-folding the whole log.
+	// final is the last-writer-wins fold of log and net the triple count
+	// it adds to the generation's store (+1 per add new to it, −1 per
+	// tombstone that hits it). Both are kept per write, so an ingest
+	// costs O(batch) under mu.
 	final  map[rdf.Triple]bool
+	net    int
 	closed bool
 
 	compactMu sync.Mutex // serializes compactions (background or forced)
@@ -92,8 +97,7 @@ func NewStore(g *kg.Graph, cfg Config) *Store {
 		kick:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 	}
-	gen := newGeneration(0, g, s.cfg.SearchParams, nil, nil, s.cfg.Partition)
-	s.view.Store(&View{Gen: gen, delta: emptyDelta})
+	s.publish(newGeneration(0, g, s.cfg.SearchParams, nil, nil, s.cfg.Partition))
 	return s
 }
 
@@ -113,7 +117,7 @@ func NewStoreFromGeneration(gen *Generation, cfg Config) *Store {
 	if cfg.Partition != nil && gen.Own == nil {
 		gen.ApplyPartition(cfg.Partition)
 	}
-	s.view.Store(&View{Gen: gen, delta: emptyDelta})
+	s.publish(gen)
 	return s
 }
 
@@ -128,7 +132,7 @@ func (s *Store) Generation() *Generation { return s.View().Gen }
 // Swaps reports how many compaction swaps have been published.
 func (s *Store) Swaps() uint64 { return s.swaps.Load() }
 
-// Pending reports the number of distinct pending delta triples.
+// Pending reports the number of distinct pending triples.
 func (s *Store) Pending() int { return s.View().Pending() }
 
 // IngestResult reports what one ingest batch did.
@@ -142,12 +146,11 @@ type IngestResult struct {
 	Generation uint64
 }
 
-// Ingest appends a batch of adds and tombstones to the delta log and
-// publishes a new View containing them. The batch is atomic: it is
+// Ingest appends a batch of adds and tombstones to the write log and
+// publishes a new View counting them. The batch is atomic: it is
 // validated in full before anything is published, and a typed invalid
 // error leaves the store unchanged. Readers never block — they keep the
-// view they loaded; the new view is visible to every subsequent View
-// call.
+// view they loaded; the batch reaches reads at the next swap.
 func (s *Store) Ingest(adds, dels []rdf.Triple) (IngestResult, error) {
 	t0 := liveStart()
 	dictLen := s.View().Dict().Len()
@@ -174,18 +177,16 @@ func (s *Store) Ingest(adds, dels []rdf.Triple) (IngestResult, error) {
 		s.mu.Unlock()
 		return IngestResult{}, errs.Errf(errs.KindInvalid, "live: store is closed")
 	}
+	gen := s.view.Load().Gen
+	base := gen.Store()
 	for _, t := range adds {
-		s.log = append(s.log, logEntry{t: t})
-		s.final[t] = true
+		s.record(base, logEntry{t: t})
 	}
 	for _, t := range dels {
-		s.log = append(s.log, logEntry{t: t, del: true})
-		s.final[t] = false
+		s.record(base, logEntry{t: t, del: true})
 	}
-	delta := indexDelta(s.final)
-	gen := s.view.Load().Gen
-	s.view.Store(&View{Gen: gen, delta: delta})
-	pending := delta.Pending()
+	s.publish(gen)
+	pending := len(s.final)
 	s.mu.Unlock()
 
 	if s.started.Load() && pending >= s.cfg.CompactThreshold {
@@ -234,9 +235,32 @@ func (s *Store) IngestNTriples(adds, dels io.Reader) (IngestResult, error) {
 	return s.Ingest(rdf.InternTriples(dict, addP), rdf.InternTriples(dict, delP))
 }
 
+// record appends one write to the log and folds it into final and net
+// against base, the current generation's store. Callers hold mu.
+func (s *Store) record(base *rdf.Store, e logEntry) {
+	s.log = append(s.log, e)
+	was, ok := s.final[e.t]
+	if !ok {
+		was = base.Has(e.t.S, e.t.P, e.t.O)
+	}
+	s.final[e.t] = !e.del
+	switch {
+	case !was && !e.del:
+		s.net++
+	case was && e.del:
+		s.net--
+	}
+}
+
+// publish stores a fresh View of gen carrying the current pending
+// counts. Callers hold mu (or own the store exclusively).
+func (s *Store) publish(gen *Generation) {
+	s.view.Store(&View{Gen: gen, pending: len(s.final), triples: gen.Store().Len() + s.net})
+}
+
 // StartCompactor launches the background compactor: every kick (an
 // ingest crossing the threshold, or TriggerCompact) folds the pending
-// delta into a fresh generation off-thread. Idempotent.
+// writes into a fresh generation off-thread. Idempotent.
 func (s *Store) StartCompactor() {
 	if !s.started.CompareAndSwap(false, true) {
 		return
@@ -267,10 +291,10 @@ func (s *Store) TriggerCompact() {
 	}
 }
 
-// CompactNow synchronously folds the pending delta (as of call time)
+// CompactNow synchronously folds the pending writes (as of call time)
 // into a new generation and publishes it with an RCU swap. It returns
 // the generation that is current afterwards and whether a swap happened
-// (false when the delta was empty). Ingest continues concurrently:
+// (false when nothing was pending). Ingest continues concurrently:
 // writes that arrive during the rebuild stay pending on top of the new
 // generation.
 func (s *Store) CompactNow() (*Generation, bool, error) {
@@ -278,43 +302,50 @@ func (s *Store) CompactNow() (*Generation, bool, error) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 
-	// Snapshot the view and the log prefix it covers. Views are published
-	// under mu, so the pair is consistent.
+	// Snapshot the generation and the log prefix written on top of it.
+	// Both change only under mu, so the pair is consistent, and appends
+	// past n never touch the prefix.
 	s.mu.Lock()
-	v := s.view.Load()
+	gen := s.view.Load().Gen
 	n := len(s.log)
 	prefix := s.log[:n:n]
 	s.mu.Unlock()
-	if v.Pending() == 0 {
-		return v.Gen, false, nil
+	if n == 0 {
+		return gen, false, nil
 	}
 
-	// Rebuild off-thread: materialize the overlay through the merged
-	// iteration into a fresh store sharing the append-only dictionary,
-	// then rebuild every derived structure. Readers keep serving from the
-	// current view throughout.
-	next := rdf.NewStore(v.Dict())
-	var addErr error
-	v.ForEachTriple(func(t rdf.Triple) {
-		if addErr == nil {
-			addErr = next.TryAdd(t.S, t.P, t.O)
+	// Rebuild off-thread: the base minus the prefix's tombstones, plus
+	// its adds, into a fresh store sharing the append-only dictionary.
+	// Freeze sorts and deduplicates, so adds already in the base
+	// collapse. Readers keep serving from the current view throughout.
+	final := foldLog(prefix)
+	base := gen.Store()
+	next := rdf.NewStore(base.Dict())
+	base.ForEachTriple(func(t rdf.Triple) {
+		if added, ok := final[t]; added || !ok {
+			next.Add(t.S, t.P, t.O)
 		}
 	})
-	if addErr != nil {
-		return v.Gen, false, addErr
+	for t, added := range final {
+		if added {
+			next.Add(t.S, t.P, t.O)
+		}
 	}
 	next.Freeze()
 	g2 := kg.NewGraph(next)
 	touched := touchedSet(prefix, next, g2.Voc().Type)
-	gen2 := newGeneration(v.Gen.ID+1, g2, s.cfg.SearchParams, v.Gen.Features, touched, s.cfg.Partition)
+	gen2 := newGeneration(gen.ID+1, g2, s.cfg.SearchParams, gen.Features, touched, s.cfg.Partition)
 
 	// Publish: the compacted prefix leaves the log; whatever arrived
-	// since stays pending as the new generation's delta.
+	// since is folded again, now against the new generation's store.
 	s.mu.Lock()
-	s.log = append([]logEntry(nil), s.log[n:]...)
-	s.final = foldLog(s.log)
-	delta := indexDelta(s.final)
-	s.view.Store(&View{Gen: gen2, delta: delta})
+	rest := s.log[n:]
+	s.log = make([]logEntry, 0, len(rest))
+	s.final, s.net = make(map[rdf.Triple]bool, len(rest)), 0
+	for _, e := range rest {
+		s.record(next, e)
+	}
+	s.publish(gen2)
 	s.mu.Unlock()
 	s.swaps.Add(1)
 
@@ -353,7 +384,7 @@ func (s *Store) Adoptions() uint64 { return s.adoptions.Load() }
 // result here through the same RCU swap a local compaction uses.
 //
 // Adoption asserts the snapshot SUPERSEDES local state: the pending
-// delta log is discarded wholesale, because the coordinator (the
+// write log is discarded wholesale, because the coordinator (the
 // scatter-gather router) serializes ingest against swaps, so at adopt
 // time every pending triple this store holds is already folded into the
 // adopted generation. Calling this outside such a protocol loses writes.
@@ -380,8 +411,8 @@ func (s *Store) AdoptGeneration(gen *Generation, force bool) (bool, error) {
 		gen.ApplyPartition(s.cfg.Partition)
 	}
 	s.log = nil
-	s.final = map[rdf.Triple]bool{}
-	s.view.Store(&View{Gen: gen, delta: emptyDelta})
+	s.final, s.net = map[rdf.Triple]bool{}, 0
+	s.publish(gen)
 	s.swaps.Add(1)
 	s.adoptions.Add(1)
 	mSwapsTotal.Inc()
@@ -399,8 +430,8 @@ func (s *Store) LastSnapshot() (string, error) {
 	return s.snapPath, s.snapErr
 }
 
-// Close stops accepting ingest and shuts the compactor down. Pending
-// delta triples remain readable through the final view.
+// Close stops accepting ingest and shuts the compactor down. Writes
+// still pending stay counted in the final view but are never compacted.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -416,7 +447,7 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// touchedSet builds the delta's write set for cache invalidation: every
+// touchedSet builds the prefix's write set for cache invalidation: every
 // S, P and O of the compacted prefix, expanded with the new-store
 // neighbours of any node whose rdf:type set changed — gaining or losing
 // entity status changes extents whose anchors are exactly those
@@ -445,4 +476,23 @@ func touchedSet(prefix []logEntry, next *rdf.Store, typePred rdf.TermID) func(rd
 		_, ok := set[id]
 		return ok
 	}
+}
+
+// logEntry is one pending write: a triple plus whether it is a tombstone.
+// The log preserves arrival order so that add/remove sequences on the
+// same triple resolve to last-writer-wins.
+type logEntry struct {
+	t   rdf.Triple
+	del bool
+}
+
+// foldLog collapses a log into final per-triple states: a triple added
+// then removed (or vice versa) keeps its last state; duplicates collapse
+// to one entry.
+func foldLog(log []logEntry) map[rdf.Triple]bool {
+	final := make(map[rdf.Triple]bool, len(log))
+	for _, e := range log {
+		final[e.t] = !e.del
+	}
+	return final
 }

@@ -4,213 +4,28 @@ import (
 	"pivote/internal/rdf"
 )
 
-// View is one consistent read snapshot of the live graph: an immutable
-// generation plus the immutable delta pending on top of it. Reads
-// resolve through a merged overlay — the base CSR run and the sorted
-// delta run are merged on the fly, tombstones subtracted — and are
-// byte-identical to the same read against a from-scratch rebuild of the
-// generation's triples plus the delta (the equivalence suite asserts
-// exactly that). A View is obtained with Store.View and never blocks on
-// or observes concurrent ingest: later writes publish later Views.
+// View is one consistent snapshot of the live store: an immutable
+// generation plus the counts of the writes pending on top of it. Reads
+// go to the generation (core.Engine pins View().Gen once per op batch);
+// pending writes reach them at the next compaction swap. A View is
+// obtained with Store.View and never changes: every ingest and swap
+// publishes a fresh one with a single atomic store.
 type View struct {
 	// Gen is the generation this view is layered on.
 	Gen *Generation
-	// delta holds the pending writes; emptyDelta when none.
-	delta *Delta
+	// pending counts the distinct pending triples; triples is the graph
+	// size once they are folded into Gen.
+	pending, triples int
 }
 
-// Pending reports the number of pending delta triples in this view.
-func (v *View) Pending() int { return v.delta.Pending() }
+// Pending reports the number of distinct pending triples (adds plus
+// tombstones, last writer wins).
+func (v *View) Pending() int { return v.pending }
+
+// Len reports the number of distinct triples once the pending writes
+// are folded in: the generation's count plus pending adds new to it,
+// minus tombstones that hit it.
+func (v *View) Len() int { return v.triples }
 
 // Dict returns the shared term dictionary.
 func (v *View) Dict() *rdf.Dictionary { return v.Gen.Store().Dict() }
-
-// MaxTermID returns the largest addressable node ID: the dictionary
-// bound, which covers both the base store and any delta-interned terms.
-func (v *View) MaxTermID() rdf.TermID {
-	return rdf.TermID(v.Dict().Len())
-}
-
-// Out returns the merged, sorted (p, o) edges leaving s in a fresh slice.
-func (v *View) Out(s rdf.TermID) []rdf.Edge { return v.OutAppend(nil, s) }
-
-// OutAppend appends the merged out-edges of s to dst and returns it.
-func (v *View) OutAppend(dst []rdf.Edge, s rdf.TermID) []rdf.Edge {
-	return mergeRuns(dst, v.Gen.Store().Out(s), v.delta.addsOut[s], v.delta.delsOut[s])
-}
-
-// In returns the merged, sorted (p, s) edges entering o in a fresh slice.
-func (v *View) In(o rdf.TermID) []rdf.Edge { return v.InAppend(nil, o) }
-
-// InAppend appends the merged in-edges of o to dst and returns it.
-func (v *View) InAppend(dst []rdf.Edge, o rdf.TermID) []rdf.Edge {
-	return mergeRuns(dst, v.Gen.Store().In(o), v.delta.addsIn[o], v.delta.delsIn[o])
-}
-
-// Objects returns the sorted objects o of triples (s, p, o).
-func (v *View) Objects(s, p rdf.TermID) []rdf.TermID {
-	return v.ObjectsAppend(nil, s, p)
-}
-
-// ObjectsAppend appends the objects of (s, p, *) to dst and returns it.
-func (v *View) ObjectsAppend(dst []rdf.TermID, s, p rdf.TermID) []rdf.TermID {
-	return nodesOf(dst, v.mergedPredRun(nil, v.Gen.Store().Out(s), v.delta.addsOut[s], v.delta.delsOut[s], p))
-}
-
-// Subjects returns the sorted subjects s of triples (s, p, o).
-func (v *View) Subjects(p, o rdf.TermID) []rdf.TermID {
-	return v.SubjectsAppend(nil, p, o)
-}
-
-// SubjectsAppend appends the subjects of (*, p, o) to dst and returns it.
-func (v *View) SubjectsAppend(dst []rdf.TermID, p, o rdf.TermID) []rdf.TermID {
-	return nodesOf(dst, v.mergedPredRun(nil, v.Gen.Store().In(o), v.delta.addsIn[o], v.delta.delsIn[o], p))
-}
-
-// CountObjects reports |{o : (s,p,o)}| without materializing the set.
-func (v *View) CountObjects(s, p rdf.TermID) int {
-	return v.mergedPredCount(v.Gen.Store().Out(s), v.delta.addsOut[s], v.delta.delsOut[s], p)
-}
-
-// CountSubjects reports |{s : (s,p,o)}| without materializing the set.
-func (v *View) CountSubjects(p, o rdf.TermID) int {
-	return v.mergedPredCount(v.Gen.Store().In(o), v.delta.addsIn[o], v.delta.delsIn[o], p)
-}
-
-// OutDegree reports the number of distinct outgoing edges of s.
-func (v *View) OutDegree(s rdf.TermID) int {
-	return mergedLen(v.Gen.Store().Out(s), v.delta.addsOut[s], v.delta.delsOut[s])
-}
-
-// InDegree reports the number of distinct incoming edges of o.
-func (v *View) InDegree(o rdf.TermID) int {
-	return mergedLen(v.Gen.Store().In(o), v.delta.addsIn[o], v.delta.delsIn[o])
-}
-
-// Has reports whether the triple (s, p, o) is present in the overlay:
-// tombstones win over the base, delta adds count as present.
-func (v *View) Has(s, p, o rdf.TermID) bool {
-	e := rdf.Edge{P: p, Node: o}
-	if containsEdge(v.delta.delsOut[s], e) {
-		return false
-	}
-	if containsEdge(v.delta.addsOut[s], e) {
-		return true
-	}
-	return v.Gen.Store().Has(s, p, o)
-}
-
-// Len reports the number of distinct triples in the overlay: the base
-// count plus pending adds that are new, minus tombstones that hit.
-func (v *View) Len() int {
-	st := v.Gen.Store()
-	n := st.Len()
-	for s, run := range v.delta.addsOut {
-		for _, e := range run {
-			if !st.Has(s, e.P, e.Node) {
-				n++
-			}
-		}
-	}
-	for s, run := range v.delta.delsOut {
-		for _, e := range run {
-			if st.Has(s, e.P, e.Node) {
-				n--
-			}
-		}
-	}
-	return n
-}
-
-// ForEachTriple visits every overlay triple in (S, P, O) order — the
-// same order a from-scratch frozen store iterates in. The compactor
-// materializes the next generation through this iteration.
-func (v *View) ForEachTriple(fn func(rdf.Triple)) {
-	base := v.Gen.Store().NodesWithOut()
-	delta := v.delta.subjects
-	var scratch []rdf.Edge
-	visit := func(s rdf.TermID) {
-		scratch = v.OutAppend(scratch[:0], s)
-		for _, e := range scratch {
-			fn(rdf.Triple{S: s, P: e.P, O: e.Node})
-		}
-	}
-	i, j := 0, 0
-	for i < len(base) && j < len(delta) {
-		switch {
-		case base[i] == delta[j]:
-			visit(base[i])
-			i++
-			j++
-		case base[i] < delta[j]:
-			visit(base[i])
-			i++
-		default:
-			visit(delta[j])
-			j++
-		}
-	}
-	for ; i < len(base); i++ {
-		visit(base[i])
-	}
-	for ; j < len(delta); j++ {
-		visit(delta[j])
-	}
-}
-
-// mergedPredRun merges only the predicate run of the three edge lists —
-// binary searches locate the contiguous (p, *) slice of each sorted run
-// before the merge, so cost scales with the run, not the node degree.
-func (v *View) mergedPredRun(dst []rdf.Edge, base, adds, dels []rdf.Edge, p rdf.TermID) []rdf.Edge {
-	return mergeRuns(dst, rdf.PredRun(base, p), rdf.PredRun(adds, p), rdf.PredRun(dels, p))
-}
-
-// mergedPredCount counts the merged predicate run without materializing.
-func (v *View) mergedPredCount(base, adds, dels []rdf.Edge, p rdf.TermID) int {
-	return mergedLen(rdf.PredRun(base, p), rdf.PredRun(adds, p), rdf.PredRun(dels, p))
-}
-
-// mergedLen counts the merge of base and adds minus dels without
-// allocating.
-func mergedLen(base, adds, dels []rdf.Edge) int {
-	n := 0
-	i, j := 0, 0
-	count := func(e rdf.Edge) {
-		for len(dels) > 0 && edgeLess(dels[0], e) {
-			dels = dels[1:]
-		}
-		if len(dels) > 0 && dels[0] == e {
-			return
-		}
-		n++
-	}
-	for i < len(base) && j < len(adds) {
-		switch {
-		case base[i] == adds[j]:
-			count(base[i])
-			i++
-			j++
-		case edgeLess(base[i], adds[j]):
-			count(base[i])
-			i++
-		default:
-			count(adds[j])
-			j++
-		}
-	}
-	for ; i < len(base); i++ {
-		count(base[i])
-	}
-	for ; j < len(adds); j++ {
-		count(adds[j])
-	}
-	return n
-}
-
-// nodesOf appends the Node of every edge to dst.
-func nodesOf(dst []rdf.TermID, run []rdf.Edge) []rdf.TermID {
-	for _, e := range run {
-		dst = append(dst, e.Node)
-	}
-	return dst
-}

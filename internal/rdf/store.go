@@ -92,20 +92,6 @@ func (st *Store) Add(s, p, o TermID) {
 	st.triples++
 }
 
-// TryAdd is Add with a typed error instead of a panic: the live ingest
-// path routes through it so a misdirected write surfaces as an invalid
-// operation rather than crashing the process.
-func (st *Store) TryAdd(s, p, o TermID) error {
-	if st.frozen {
-		return errs.Errf(errs.KindInvalid, "rdf: add after freeze")
-	}
-	if s == NoTerm || p == NoTerm || o == NoTerm {
-		return errs.Errf(errs.KindInvalid, "rdf: triple references the NoTerm sentinel")
-	}
-	st.Add(s, p, o)
-	return nil
-}
-
 // AddTerms interns the three terms and inserts the triple, returning it.
 func (st *Store) AddTerms(s, p, o Term) Triple {
 	t := Triple{st.dict.Intern(s), st.dict.Intern(p), st.dict.Intern(o)}
@@ -210,8 +196,8 @@ func buildCSR(log []Triple, maxID TermID, forward bool) ([]uint32, []Edge) {
 func (st *Store) Frozen() bool { return st.frozen }
 
 // CheckFrozen returns a typed error when the store has not been frozen
-// yet. Read paths that must not panic on a half-built store (the live
-// overlay) gate on it instead of relying on mustFrozen's panic.
+// yet. Paths that must not panic on a half-built store (the snapshot
+// writers) gate on it instead of relying on mustFrozen's panic.
 func (st *Store) CheckFrozen() error {
 	if !st.frozen {
 		return errs.Errf(errs.KindInternal, "rdf: query on unfrozen store (call Freeze first)")
@@ -253,17 +239,13 @@ func (st *Store) In(o TermID) []Edge {
 	return st.inEdges[st.inOff[o]:st.inOff[o+1]]
 }
 
-// PredRun binary-searches the run of edges with predicate p inside a list
+// predRun binary-searches the run of edges with predicate p inside a list
 // sorted by (P, Node) — the contiguous extent of one semantic feature.
-// The live overlay reuses it to slice both the base CSR run and the
-// sorted delta run before merging them.
-func PredRun(edges []Edge, p TermID) []Edge {
+func predRun(edges []Edge, p TermID) []Edge {
 	lo := sort.Search(len(edges), func(i int) bool { return edges[i].P >= p })
 	hi := lo + sort.Search(len(edges)-lo, func(i int) bool { return edges[lo+i].P > p })
 	return edges[lo:hi]
 }
-
-func predRun(edges []Edge, p TermID) []Edge { return PredRun(edges, p) }
 
 // Objects returns the sorted objects o of triples (s, p, o), materialized
 // into a fresh slice.

@@ -13,15 +13,15 @@ import (
 
 // The live-ingest surface of /api/v1:
 //
-//	POST /api/v1/ingest   apply a batch of adds/tombstones to the delta log
+//	POST /api/v1/ingest   append a batch of adds/tombstones to the write log
 //	POST /api/v1/compact  force a compaction swap and wait for it
-//	GET  /api/v1/live     generation / delta / cache-carry statistics
+//	GET  /api/v1/live     generation / pending / cache-carry statistics
 //
 // Ingest is graph-global (every session reads the same generational
 // store), requires the server to run in live mode (-live), and never
-// blocks readers: the batch lands in the delta log, a new view is
-// published atomically, and visibility in ranking results arrives with
-// the next compaction swap. Errors use the same typed envelope as the
+// blocks readers: the batch lands in the write log, a new view counting
+// it is published atomically, and visibility in reads arrives with the
+// next compaction swap. Errors use the same typed envelope as the
 // op protocol; a malformed batch is rejected in full with no side
 // effects, so a bad client cannot crash or corrupt the server.
 

@@ -192,8 +192,8 @@ func TestEquivalenceRange(t *testing.T) {
 	f := kgtest.Build()
 	dictLen := f.Store.Dict().Len()
 	cuts := [][]uint32{
-		{uint32(dictLen) / 2},                  // balanced-ish 2-way
-		{3, uint32(dictLen)},                   // shard 1 owns nearly all, shard 2 nothing
+		{uint32(dictLen) / 2}, // balanced-ish 2-way
+		{3, uint32(dictLen)},  // shard 1 owns nearly all, shard 2 nothing
 		{uint32(dictLen) / 3, 2 * uint32(dictLen) / 3},
 	}
 	for ci, cut := range cuts {

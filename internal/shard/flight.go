@@ -77,11 +77,11 @@ func (rt *Router) awaitAgreement(ctx context.Context) {
 // than vote: a dead replica is the failover machinery's problem.
 func (rt *Router) probeAgreement(ctx context.Context) bool {
 	var (
-		mu     sync.Mutex
-		seen   uint64
-		have   bool
-		mixed  bool
-		wg     sync.WaitGroup
+		mu    sync.Mutex
+		seen  uint64
+		have  bool
+		mixed bool
+		wg    sync.WaitGroup
 	)
 	for k := range rt.shards {
 		wg.Add(1)

@@ -39,7 +39,7 @@ import (
 //
 // The protocol runs under ingestMu, so no ingest can land between the
 // primary's compaction and the peers' adoptions — which is what makes
-// wholesale adoption (it clears the peer's delta log) sound. Because
+// wholesale adoption (it clears the peer's write log) sound. Because
 // every clean replica ends up holding the same adopted bytes under the
 // same ID, generation agreement across the cluster converges
 // deterministically instead of probabilistically: after a committed

@@ -132,9 +132,9 @@ func appendSection(dst []byte, id byte, body func([]byte) []byte) []byte {
 	payload := len(dst) - start
 	var pfx [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(pfx[:], uint64(payload))
-	dst = append(dst, pfx[:n]...)          // grow by the prefix size
+	dst = append(dst, pfx[:n]...)                 // grow by the prefix size
 	copy(dst[start+n:], dst[start:start+payload]) // shift payload right
-	copy(dst[start:], pfx[:n])             // drop the prefix in front
+	copy(dst[start:], pfx[:n])                    // drop the prefix in front
 	return dst
 }
 

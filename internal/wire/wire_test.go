@@ -264,9 +264,9 @@ func TestCountGuard(t *testing.T) {
 // don't know — that is the forward-compatibility contract.
 func TestUnknownSectionSkipped(t *testing.T) {
 	enc := AppendState(nil, sparseState())
-	enc = append(enc, 200)               // unknown section id
-	enc = appendUvarint(enc, 3)          // 3-byte payload
-	enc = append(enc, 0xde, 0xad, 0xbf)  // opaque future data
+	enc = append(enc, 200)              // unknown section id
+	enc = appendUvarint(enc, 3)         // 3-byte payload
+	enc = append(enc, 0xde, 0xad, 0xbf) // opaque future data
 	enc = appendSection(enc, secFallback, func(d []byte) []byte {
 		return appendBool(d, true)
 	})

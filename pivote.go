@@ -215,14 +215,15 @@ type SharedCore = core.Shared
 // Live-ingest surface: the generational write path of internal/live.
 type (
 	// LiveStore is the generational graph store: an immutable current
-	// generation plus a delta log of pending writes, compacted into fresh
+	// generation plus a log of pending writes, compacted into fresh
 	// generations with an RCU swap.
 	LiveStore = live.Store
 	// LiveGeneration is one immutable graph generation (store, KG
 	// tables, search index, feature cache).
 	LiveGeneration = live.Generation
-	// LiveView is a consistent read snapshot: one generation plus the
-	// pending delta, resolved through a merged overlay.
+	// LiveView is one consistent snapshot of a LiveStore: the current
+	// generation (which serves every read) plus the pending-write counts
+	// Pending and Len.
 	LiveView = live.View
 	// IngestResult reports what one ingest batch did.
 	IngestResult = live.IngestResult
