@@ -7,7 +7,8 @@
 // The figure/table artifacts are cheap and benchmarked at the default
 // scale; the measured experiments run at a reduced scale (300 films, 30
 // queries) so the whole suite stays in CPU-minutes. cmd/pivote-eval runs
-// the committed EXPERIMENTS.md configuration (scale 1000, 100 queries).
+// the full configuration at its defaults (scale 1000, 100 queries; see
+// DESIGN.md's experiment index).
 package pivote_test
 
 import (

@@ -425,10 +425,16 @@ func parseReplicaOf(s string) (k, r, n int, err error) {
 	return k, r, n, nil
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or trickling clients cannot pin connections
+// forever. Bodies and responses stay unbounded: snapshot adoption
+// uploads whole generations, and slow evaluations must not be cut off.
+const readHeaderTimeout = 10 * time.Second
+
 // runServer serves h on addr until SIGINT/SIGTERM, drains in-flight
 // requests, then runs cleanup (compactor shutdown etc.).
 func runServer(addr string, h http.Handler, drain time.Duration, cleanup func() error, banner string) {
-	srv := &http.Server{Addr: addr, Handler: h}
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() {
 		fmt.Fprintf(os.Stderr, "%s listening on http://localhost%s\n", banner, addr)

@@ -69,5 +69,9 @@ func main() {
 
 	// An entity profile (the presentation area, Fig. 3-d).
 	fmt.Println()
-	fmt.Print(eng.Lookup(g.EntityByName("Forrest_Gump")).Render())
+	profile, err := eng.LookupCtx(ctx, g.EntityByName("Forrest_Gump"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(profile.Render())
 }

@@ -2,6 +2,7 @@ package pivote_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,11 +40,11 @@ func TestFullSystemIntegration(t *testing.T) {
 
 	// Work entirely on the reloaded graph from here.
 	eng := pivote.New(g2, pivote.Options{TopEntities: 10, TopFeatures: 8})
-	res := eng.Submit("forrest gump")
+	res := mustApply(t, eng, pivote.OpSubmit("forrest gump"))
 	if res.Entities[0].Name != "Forrest Gump" {
 		t.Fatalf("top hit %q", res.Entities[0].Name)
 	}
-	res = eng.AddSeed(res.Entities[0].Entity)
+	res = mustApply(t, eng, pivote.OpAddSeed(res.Entities[0].Entity))
 	if len(res.Entities) == 0 {
 		t.Fatal("investigation empty")
 	}
@@ -54,8 +55,8 @@ func TestFullSystemIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RemoveSeed(res.Query.Seeds[0])
-	res = eng.AddFeature(th)
+	mustApply(t, eng, pivote.OpRemoveSeed(res.Query.Seeds[0]))
+	res = mustApply(t, eng, pivote.OpAddFeature(th))
 	q, err := pivote.ParseBGP(g2, `SELECT ?film WHERE { ?film starring Tom_Hanks }`)
 	if err != nil {
 		t.Fatal(err)
@@ -79,14 +80,14 @@ func TestFullSystemIntegration(t *testing.T) {
 
 	// Pivot, then persist the session and restore it on a THIRD graph
 	// instance (fresh term IDs) — symbolic references must re-resolve.
-	eng.Pivot(g2.EntityByName("Tom_Hanks"))
+	mustApply(t, eng, pivote.OpPivot(g2.EntityByName("Tom_Hanks")))
 	saved, err := eng.SaveSession()
 	if err != nil {
 		t.Fatal(err)
 	}
 	g3 := pivote.GenerateDemo(300, 11)
 	eng3 := pivote.New(g3, pivote.Options{TopEntities: 10, TopFeatures: 8})
-	restored, err := eng3.LoadSession(saved)
+	restored, err := eng3.LoadSessionCtx(context.Background(), saved)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +98,13 @@ func TestFullSystemIntegration(t *testing.T) {
 		t.Fatalf("restored seed = %s", g3.Name(restored.Query.Seeds[0]))
 	}
 	// The restored timeline supports revisiting the original query.
-	if _, err := eng3.Revisit(1); err != nil {
+	if _, err := eng3.Apply(context.Background(), pivote.OpRevisit(1)); err != nil {
 		t.Fatal(err)
 	}
-	got := eng3.Evaluate()
+	got, err := eng3.EvaluateCtx(context.Background(), pivote.FieldsAll)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Query.Keywords != "forrest gump" {
 		t.Fatalf("revisited keywords %q", got.Query.Keywords)
 	}
@@ -126,8 +130,8 @@ func TestSnapshotAndNTriplesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, query := range []string{"forrest gump", "tom hanks", "drama"} {
-		a := pivote.New(gNT, pivote.Options{}).Submit(query)
-		b := pivote.New(gSnap, pivote.Options{}).Submit(query)
+		a := mustApply(t, pivote.New(gNT, pivote.Options{}), pivote.OpSubmit(query))
+		b := mustApply(t, pivote.New(gSnap, pivote.Options{}), pivote.OpSubmit(query))
 		if len(a.Entities) != len(b.Entities) {
 			t.Fatalf("%q: %d vs %d hits", query, len(a.Entities), len(b.Entities))
 		}

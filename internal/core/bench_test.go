@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -22,17 +23,26 @@ func submitSetup() *kg.Graph {
 	return submitGraph
 }
 
+// applyOrFail is one interactive turn through Engine.Apply.
+func applyOrFail(b *testing.B, eng *core.Engine, op core.Op) *core.Result {
+	res, err := eng.Apply(context.Background(), op)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkSubmit measures one full interactive turn: keyword retrieval,
-// pseudo-seed feature ranking and the heat map, i.e. what one POST
-// /api/query costs once the engine is warm.
+// pseudo-seed feature ranking and the heat map, i.e. what one submit op
+// costs once the engine is warm.
 func BenchmarkSubmit(b *testing.B) {
 	g := submitSetup()
 	eng := core.New(g, core.Options{})
-	eng.Submit("forrest gump") // warm caches
+	applyOrFail(b, eng, core.OpSubmit("forrest gump")) // warm caches
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eng.Submit("forrest gump")
+		res := applyOrFail(b, eng, core.OpSubmit("forrest gump"))
 		if len(res.Entities) == 0 {
 			b.Fatal("no entities")
 		}
@@ -45,11 +55,11 @@ func BenchmarkPivot(b *testing.B) {
 	g := submitSetup()
 	eng := core.New(g, core.Options{})
 	ent := g.EntityByName("Forrest_Gump")
-	eng.Pivot(ent)
+	applyOrFail(b, eng, core.OpPivot(ent))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eng.Pivot(ent)
+		res := applyOrFail(b, eng, core.OpPivot(ent))
 		if len(res.Entities) == 0 {
 			b.Fatal("no entities")
 		}
@@ -63,13 +73,13 @@ func BenchmarkPivot(b *testing.B) {
 func BenchmarkSubmitUninstrumented(b *testing.B) {
 	g := submitSetup()
 	eng := core.New(g, core.Options{})
-	eng.Submit("forrest gump")
+	applyOrFail(b, eng, core.OpSubmit("forrest gump"))
 	prev := obs.SetEnabled(false)
 	defer obs.SetEnabled(prev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := eng.Submit("forrest gump")
+		res := applyOrFail(b, eng, core.OpSubmit("forrest gump"))
 		if len(res.Entities) == 0 {
 			b.Fatal("no entities")
 		}

@@ -487,32 +487,6 @@ func (e *Engine) applyOp(p *pin, op Op) error {
 	return nil
 }
 
-// Submit starts a new keyword query (Fig. 3-a) and evaluates it. Like
-// every method below, it is a convenience wrapper over Apply.
-func (e *Engine) Submit(keywords string) *Result { return e.applyLegacy(OpSubmit(keywords)) }
-
-// AddSeed adds an example entity to the query ("find entities similar to
-// X") and re-evaluates.
-func (e *Engine) AddSeed(ent rdf.TermID) *Result { return e.applyLegacy(OpAddSeed(ent)) }
-
-// RemoveSeed removes an example entity and re-evaluates.
-func (e *Engine) RemoveSeed(ent rdf.TermID) *Result { return e.applyLegacy(OpRemoveSeed(ent)) }
-
-// AddFeature pins a semantic-feature condition ("find films starring Tom
-// Hanks") and re-evaluates.
-func (e *Engine) AddFeature(f semfeat.Feature) *Result { return e.applyLegacy(OpAddFeature(f)) }
-
-// RemoveFeature unpins a condition and re-evaluates.
-func (e *Engine) RemoveFeature(f semfeat.Feature) *Result { return e.applyLegacy(OpRemoveFeature(f)) }
-
-// Lookup records a profile view (Fig. 3-d) and returns the profile; the
-// query and results are unchanged. A non-entity yields the zero Profile
-// (use LookupCtx for the typed error).
-func (e *Engine) Lookup(ent rdf.TermID) kg.Profile {
-	p, _ := e.LookupCtx(context.Background(), ent)
-	return p
-}
-
 // LookupCtx records a profile view through the op protocol and returns
 // the profile; the query and results are unchanged (FieldNone skips
 // evaluation). A failed lookup records nothing and returns KindNotFound.
@@ -521,40 +495,6 @@ func (e *Engine) LookupCtx(ctx context.Context, ent rdf.TermID) (kg.Profile, err
 		return kg.Profile{}, err
 	}
 	return e.pinGen().g.ProfileOf(ent, 25), nil
-}
-
-// Pivot switches the search domain to the entity's domain (§3.2): the
-// query becomes {entity} and the x-axis fills with entities of its type.
-// Double-clicking an entity image (Fig. 3-c) or a feature's anchor name
-// (Fig. 3-e) both land here.
-func (e *Engine) Pivot(ent rdf.TermID) *Result { return e.applyLegacy(OpPivot(ent)) }
-
-// PivotOnFeature pivots into the anchor entity of a recommended feature.
-func (e *Engine) PivotOnFeature(f semfeat.Feature) *Result {
-	return e.Pivot(f.Anchor)
-}
-
-// Revisit restores a historical query from the timeline (Fig. 3-g) and
-// re-evaluates it.
-func (e *Engine) Revisit(step int) (*Result, error) {
-	return e.Apply(context.Background(), OpRevisit(step))
-}
-
-// applyLegacy adapts Apply to the error-free pre-protocol signatures: an
-// op rejected by validation leaves the session untouched and the current
-// state is returned instead.
-func (e *Engine) applyLegacy(op Op) *Result {
-	res, err := e.Apply(context.Background(), op)
-	if err != nil {
-		res, _ = e.evaluate(context.Background(), e.pinGen(), FieldsAll)
-	}
-	return res
-}
-
-// Evaluate re-runs the current query without recording a new action.
-func (e *Engine) Evaluate() *Result {
-	res, _ := e.EvaluateCtx(context.Background(), FieldsAll)
-	return res
 }
 
 // EvaluateCtx re-runs the current query with cancellation and field

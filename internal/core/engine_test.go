@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,9 +15,29 @@ func newEngine(t testing.TB) (*Engine, *kgtest.Fixture) {
 	return New(f.Graph, Options{TopEntities: 10, TopFeatures: 8}), f
 }
 
+// mustApply applies one op and fails the test if Apply rejects it.
+func mustApply(t testing.TB, e *Engine, op Op) *Result {
+	t.Helper()
+	res, err := e.Apply(context.Background(), op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustEval evaluates the current query with every area assembled.
+func mustEval(t testing.TB, e *Engine) *Result {
+	t.Helper()
+	res, err := e.EvaluateCtx(context.Background(), FieldsAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestSubmitKeywordQuery(t *testing.T) {
 	e, f := newEngine(t)
-	res := e.Submit("forrest gump")
+	res := mustApply(t, e, OpSubmit("forrest gump"))
 	if len(res.Entities) == 0 {
 		t.Fatal("no entities for keyword query")
 	}
@@ -37,8 +58,8 @@ func TestSubmitKeywordQuery(t *testing.T) {
 func TestInvestigationBySeed(t *testing.T) {
 	// "Find films similar to Forrest Gump" by specifying the entity.
 	e, f := newEngine(t)
-	e.Submit("forrest gump")
-	res := e.AddSeed(f.E("Forrest_Gump"))
+	mustApply(t, e, OpSubmit("forrest gump"))
+	res := mustApply(t, e, OpAddSeed(f.E("Forrest_Gump")))
 	if len(res.Entities) == 0 {
 		t.Fatal("no similar entities")
 	}
@@ -56,7 +77,7 @@ func TestFeatureConditionQuery(t *testing.T) {
 	// "Find films starring Tom Hanks" by pinning the semantic feature.
 	e, f := newEngine(t)
 	th := semfeat.Feature{Anchor: f.E("Tom_Hanks"), Pred: f.E("p:starring"), Dir: semfeat.Backward}
-	res := e.AddFeature(th)
+	res := mustApply(t, e, OpAddFeature(th))
 	if len(res.Entities) != 6 {
 		t.Fatalf("Tom_Hanks:starring returned %d films, want 6", len(res.Entities))
 	}
@@ -74,8 +95,8 @@ func TestConjunctiveFeatureConditions(t *testing.T) {
 	e, f := newEngine(t)
 	th := semfeat.Feature{Anchor: f.E("Tom_Hanks"), Pred: f.E("p:starring"), Dir: semfeat.Backward}
 	rz := semfeat.Feature{Anchor: f.E("Robert_Zemeckis"), Pred: f.E("p:director"), Dir: semfeat.Backward}
-	e.AddFeature(th)
-	res := e.AddFeature(rz)
+	mustApply(t, e, OpAddFeature(th))
+	res := mustApply(t, e, OpAddFeature(rz))
 	// Films starring Hanks AND directed by Zemeckis: Forrest Gump and
 	// Cast Away.
 	if len(res.Entities) != 2 {
@@ -93,8 +114,8 @@ func TestConjunctiveFeatureConditions(t *testing.T) {
 func TestSeedPlusConditionExcludesSeed(t *testing.T) {
 	e, f := newEngine(t)
 	th := semfeat.Feature{Anchor: f.E("Tom_Hanks"), Pred: f.E("p:starring"), Dir: semfeat.Backward}
-	e.AddFeature(th)
-	res := e.AddSeed(f.E("Forrest_Gump"))
+	mustApply(t, e, OpAddFeature(th))
+	res := mustApply(t, e, OpAddSeed(f.E("Forrest_Gump")))
 	for _, r := range res.Entities {
 		if r.Entity == f.E("Forrest_Gump") {
 			t.Fatal("seed leaked into condition results")
@@ -108,10 +129,10 @@ func TestSeedPlusConditionExcludesSeed(t *testing.T) {
 func TestRemoveSeedAndFeature(t *testing.T) {
 	e, f := newEngine(t)
 	th := semfeat.Feature{Anchor: f.E("Tom_Hanks"), Pred: f.E("p:starring"), Dir: semfeat.Backward}
-	e.AddFeature(th)
-	e.AddSeed(f.E("Forrest_Gump"))
-	e.RemoveFeature(th)
-	res := e.RemoveSeed(f.E("Forrest_Gump"))
+	mustApply(t, e, OpAddFeature(th))
+	mustApply(t, e, OpAddSeed(f.E("Forrest_Gump")))
+	mustApply(t, e, OpRemoveFeature(th))
+	res := mustApply(t, e, OpRemoveSeed(f.E("Forrest_Gump")))
 	if !res.Query.IsEmpty() {
 		t.Fatalf("query not empty after removals: %+v", res.Query)
 	}
@@ -122,13 +143,16 @@ func TestRemoveSeedAndFeature(t *testing.T) {
 
 func TestLookupReturnsProfileWithoutChangingResults(t *testing.T) {
 	e, f := newEngine(t)
-	e.Submit("forrest gump")
-	before := e.Evaluate()
-	p := e.Lookup(f.E("Forrest_Gump"))
+	mustApply(t, e, OpSubmit("forrest gump"))
+	before := mustEval(t, e)
+	p, err := e.LookupCtx(context.Background(), f.E("Forrest_Gump"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Name != "Forrest Gump" {
 		t.Fatalf("profile name = %q", p.Name)
 	}
-	after := e.Evaluate()
+	after := mustEval(t, e)
 	if len(before.Entities) != len(after.Entities) {
 		t.Fatal("lookup changed the result set")
 	}
@@ -147,9 +171,9 @@ func TestLookupReturnsProfileWithoutChangingResults(t *testing.T) {
 func TestPivotSwitchesDomain(t *testing.T) {
 	// §3.2: from films, pivot into the Actor domain via Tom Hanks.
 	e, f := newEngine(t)
-	e.Submit("forrest gump")
-	e.AddSeed(f.E("Forrest_Gump"))
-	res := e.Pivot(f.E("Tom_Hanks"))
+	mustApply(t, e, OpSubmit("forrest gump"))
+	mustApply(t, e, OpAddSeed(f.E("Forrest_Gump")))
+	res := mustApply(t, e, OpPivot(f.E("Tom_Hanks")))
 	if len(res.Query.Seeds) != 1 || res.Query.Seeds[0] != f.E("Tom_Hanks") {
 		t.Fatalf("pivot query = %+v", res.Query)
 	}
@@ -169,7 +193,7 @@ func TestPivotToSparseDomainFallsBackToRandomWalk(t *testing.T) {
 	// fall back to the random walk and still recommend directors
 	// connected through film→actor→film chains.
 	e, f := newEngine(t)
-	res := e.Pivot(f.E("Robert_Zemeckis"))
+	res := mustApply(t, e, OpPivot(f.E("Robert_Zemeckis")))
 	if len(res.Entities) == 0 {
 		t.Fatal("pivot to Director domain returned nothing")
 	}
@@ -196,19 +220,20 @@ func TestPivotToSparseDomainFallsBackToRandomWalk(t *testing.T) {
 
 func TestPivotOnFeature(t *testing.T) {
 	e, f := newEngine(t)
-	e.Submit("forrest gump")
+	mustApply(t, e, OpSubmit("forrest gump"))
 	th := semfeat.Feature{Anchor: f.E("Tom_Hanks"), Pred: f.E("p:starring"), Dir: semfeat.Backward}
-	res := e.PivotOnFeature(th)
+	// Double-clicking a feature (Fig. 3-e) pivots through its anchor.
+	res := mustApply(t, e, OpPivot(th.Anchor))
 	if len(res.Query.Seeds) != 1 || res.Query.Seeds[0] != f.E("Tom_Hanks") {
-		t.Fatal("PivotOnFeature did not seed the anchor")
+		t.Fatal("pivot on a feature did not seed the anchor")
 	}
 }
 
 func TestRevisitRestoresResults(t *testing.T) {
 	e, f := newEngine(t)
-	first := e.Submit("forrest gump")
-	e.Pivot(f.E("Tom_Hanks"))
-	res, err := e.Revisit(1)
+	first := mustApply(t, e, OpSubmit("forrest gump"))
+	mustApply(t, e, OpPivot(f.E("Tom_Hanks")))
+	res, err := e.Apply(context.Background(), OpRevisit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,17 +243,17 @@ func TestRevisitRestoresResults(t *testing.T) {
 	if res.Entities[0].Entity != first.Entities[0].Entity {
 		t.Fatal("revisit changed the top result")
 	}
-	if _, err := e.Revisit(99); err == nil {
+	if _, err := e.Apply(context.Background(), OpRevisit(99)); err == nil {
 		t.Fatal("revisit of absent step did not error")
 	}
 }
 
 func TestDescribeQuery(t *testing.T) {
 	e, f := newEngine(t)
-	e.Submit("gump")
-	e.AddSeed(f.E("Forrest_Gump"))
+	mustApply(t, e, OpSubmit("gump"))
+	mustApply(t, e, OpAddSeed(f.E("Forrest_Gump")))
 	th := semfeat.Feature{Anchor: f.E("Tom_Hanks"), Pred: f.E("p:starring"), Dir: semfeat.Backward}
-	res := e.AddFeature(th)
+	res := mustApply(t, e, OpAddFeature(th))
 	for _, want := range []string{`keywords="gump"`, "entities=[Forrest Gump]", "features=[Tom_Hanks:starring]"} {
 		if !strings.Contains(res.Description, want) {
 			t.Fatalf("description %q missing %q", res.Description, want)
@@ -241,8 +266,8 @@ func TestDescribeQuery(t *testing.T) {
 
 func TestRenderASCIIContainsAllAreas(t *testing.T) {
 	e, f := newEngine(t)
-	e.Submit("forrest gump")
-	res := e.AddSeed(f.E("Forrest_Gump"))
+	mustApply(t, e, OpSubmit("forrest gump"))
+	res := mustApply(t, e, OpAddSeed(f.E("Forrest_Gump")))
 	out := res.RenderASCII()
 	for _, want := range []string{
 		"query (a,b)", "entities (c)", "semantic features (e)",
@@ -256,7 +281,7 @@ func TestRenderASCIIContainsAllAreas(t *testing.T) {
 
 func TestRenderASCIIEmptyQuery(t *testing.T) {
 	e, _ := newEngine(t)
-	res := e.Evaluate()
+	res := mustEval(t, e)
 	out := res.RenderASCII()
 	if !strings.Contains(out, "(empty query)") || !strings.Contains(out, "(none)") {
 		t.Fatalf("empty render unexpected:\n%s", out)
@@ -286,11 +311,13 @@ func TestScenarioFromThePaper(t *testing.T) {
 	// The full §3 walk-through: query → lookup → investigate → pivot →
 	// revisit, asserting the timeline shape of Fig. 4.
 	e, f := newEngine(t)
-	e.Submit("forrest gump")
-	e.Lookup(f.E("Forrest_Gump"))
-	e.AddSeed(f.E("Forrest_Gump"))
-	e.Pivot(f.E("Tom_Hanks"))
-	if _, err := e.Revisit(1); err != nil {
+	mustApply(t, e, OpSubmit("forrest gump"))
+	if _, err := e.LookupCtx(context.Background(), f.E("Forrest_Gump")); err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, e, OpAddSeed(f.E("Forrest_Gump")))
+	mustApply(t, e, OpPivot(f.E("Tom_Hanks")))
+	if _, err := e.Apply(context.Background(), OpRevisit(1)); err != nil {
 		t.Fatal(err)
 	}
 	tl := e.Session().Timeline()
@@ -312,8 +339,8 @@ func BenchmarkSubmitAndInvestigate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Submit("forrest gump")
-		if res := e.AddSeed(gump); len(res.Entities) == 0 {
+		mustApply(b, e, OpSubmit("forrest gump"))
+		if res := mustApply(b, e, OpAddSeed(gump)); len(res.Entities) == 0 {
 			b.Fatal("no results")
 		}
 	}

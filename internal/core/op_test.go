@@ -14,36 +14,6 @@ import (
 	"pivote/internal/semfeat"
 )
 
-func TestApplyMatchesLegacyMethods(t *testing.T) {
-	ctx := context.Background()
-	a, f := newEngine(t)
-	b := New(f.Graph, Options{TopEntities: 10, TopFeatures: 8})
-
-	legacy := a.Submit("forrest gump")
-	viaOp, err := b.Apply(ctx, OpSubmit("forrest gump"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Description != viaOp.Description {
-		t.Fatalf("descriptions differ: %q vs %q", legacy.Description, viaOp.Description)
-	}
-	if !reflect.DeepEqual(legacy.Entities, viaOp.Entities) {
-		t.Fatal("entities differ between legacy Submit and Apply")
-	}
-
-	legacy = a.AddSeed(f.E("Forrest_Gump"))
-	viaOp, err = b.Apply(ctx, OpAddSeed(f.E("Forrest_Gump")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Entities, viaOp.Entities) {
-		t.Fatal("entities differ between legacy AddSeed and Apply")
-	}
-	if len(b.Ops()) != 2 {
-		t.Fatalf("op log = %d ops, want 2", len(b.Ops()))
-	}
-}
-
 func TestApplyTypedErrors(t *testing.T) {
 	ctx := context.Background()
 	e, f := newEngine(t)
@@ -397,7 +367,7 @@ func TestSessionFileIsReplayableOpLog(t *testing.T) {
 	// timeline, same live query.
 	f2 := kgtest.Build()
 	e2 := New(f2.Graph, Options{TopEntities: 10, TopFeatures: 8})
-	if _, err := e2.LoadSession(raw); err != nil {
+	if _, err := e2.LoadSessionCtx(ctx, raw); err != nil {
 		t.Fatal(err)
 	}
 	if len(e2.Ops()) != 3 || e2.Session().Len() != 3 {
@@ -416,8 +386,17 @@ func TestSessionFileIsReplayableOpLog(t *testing.T) {
 	}
 }
 
-func TestLoadSessionLegacyV1(t *testing.T) {
+// TestLoadSessionRejectsV1: the retired v1 session format (per-action
+// query snapshots) is refused like any other unknown version, and the
+// refusal leaves the live session untouched.
+func TestLoadSessionRejectsV1(t *testing.T) {
+	ctx := context.Background()
 	e, f := newEngine(t)
+	if _, err := e.Apply(ctx, OpSubmit("apollo")); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Session().Current()
+	beforeOps := e.Ops()
 	gumpIRI := f.Graph.Dict().Term(f.E("Forrest_Gump")).Value
 	v1 := `{
 	  "version": 1,
@@ -429,16 +408,18 @@ func TestLoadSessionLegacyV1(t *testing.T) {
 	      "features": ["Tom_Hanks:starring"]}}
 	  ]
 	}`
-	res, err := e.LoadSession([]byte(v1))
-	if err != nil {
-		t.Fatal(err)
+	res, err := e.LoadSessionCtx(ctx, []byte(v1))
+	if err == nil || res != nil {
+		t.Fatalf("v1 file loaded: (%v, %v)", res, err)
 	}
-	q := e.Session().Current()
-	if q.Keywords != "forrest gump" || len(q.Seeds) != 1 || len(q.Features) != 1 {
-		t.Fatalf("v1 final query not restored: %+v", q)
+	if KindOf(err) != KindInvalid || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("v1 rejection = %s %v", KindOf(err), err)
 	}
-	if res == nil || res.Description == "" {
-		t.Fatal("no evaluated result from v1 load")
+	if got := e.Session().Current(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("rejected v1 load changed the query: %+v vs %+v", got, before)
+	}
+	if e.Session().Len() != 1 || !reflect.DeepEqual(e.Ops(), beforeOps) {
+		t.Fatalf("rejected v1 load changed the log: %d actions, %d ops", e.Session().Len(), len(e.Ops()))
 	}
 }
 
@@ -458,7 +439,7 @@ func TestLoadSessionErrorsLeaveSessionIntact(t *testing.T) {
 		{"unknown entity", `{"version":2,"ops":[{"op":"add-entity","entity":"Zzz_Nope"}]}`, KindNotFound},
 	}
 	for _, tc := range cases {
-		if _, err := e.LoadSession([]byte(tc.data)); err == nil {
+		if _, err := e.LoadSessionCtx(ctx, []byte(tc.data)); err == nil {
 			t.Fatalf("%s: no error", tc.name)
 		} else if got := KindOf(err); got != tc.kind {
 			t.Fatalf("%s: kind = %s, want %s", tc.name, got, tc.kind)

@@ -17,30 +17,14 @@ func wrapf(err error, format string, args ...interface{}) *Error {
 // Engine.Ops() with symbolic references (IRIs, anchor:predicate labels)
 // that survive graph rebuilds. Loading replays the ops through ApplyOps,
 // which reconstructs the timeline — there is no separate timeline
-// serialization.
+// serialization. The format is
 //
-// Version history:
+//	{"version":2,"ops":[{"op":"submit",...},...]}
 //
-//	v2 (current): {"version":2,"ops":[{"op":"submit",...},...]}
-//	v1 (legacy):  per-action query snapshots; accepted on load by
-//	              synthesizing ops for the final query (the historical
-//	              timeline of a v1 file is not reconstructed).
+// and any other version is rejected as KindInvalid.
 type sessionFile struct {
 	Version int     `json:"version"`
 	Ops     []OpDTO `json:"ops"`
-}
-
-// legacySessionFile is the shape of the retired v1 format, parsed only
-// deeply enough to recover the final query.
-type legacySessionFile struct {
-	Version int `json:"version"`
-	Actions []struct {
-		Query struct {
-			Keywords string   `json:"keywords"`
-			Seeds    []string `json:"seeds"`
-			Features []string `json:"features"`
-		} `json:"query"`
-	} `json:"actions"`
 }
 
 // SaveSession serializes the op log — and therefore the timeline and the
@@ -53,15 +37,10 @@ func (e *Engine) SaveSession() ([]byte, error) {
 	return json.MarshalIndent(f, "", "  ")
 }
 
-// LoadSession replaces the session with a previously saved one by
+// LoadSessionCtx replaces the session with a previously saved one by
 // replaying its op log. The graph must contain every entity and
-// predicate the ops reference.
-func (e *Engine) LoadSession(data []byte) (*Result, error) {
-	return e.LoadSessionCtx(context.Background(), data)
-}
-
-// LoadSessionCtx is LoadSession with cancellation; a failed or canceled
-// load leaves the current session untouched.
+// predicate the ops reference; a failed or canceled load leaves the
+// current session untouched.
 func (e *Engine) LoadSessionCtx(ctx context.Context, data []byte) (*Result, error) {
 	res, _, err := e.ReplaySessionCtx(ctx, data, FieldsAll)
 	return res, err
@@ -74,11 +53,11 @@ func (e *Engine) LoadSessionCtx(ctx context.Context, data []byte) (*Result, erro
 // endpoint. The index is -1 when the failure is not op-scoped (bad
 // JSON, unsupported version, canceled evaluation).
 func (e *Engine) ReplaySessionCtx(ctx context.Context, data []byte, fields Fields) (*Result, int, error) {
-	ops, idx, err := decodeSessionOps(e, data)
+	dtos, err := DecodeSessionDTOs(data)
 	if err != nil {
-		return nil, idx, err
+		return nil, -1, err
 	}
-	return e.replayOps(ctx, ops, fields)
+	return e.ReplayDTOsCtx(ctx, dtos, fields)
 }
 
 // ReplayDTOsCtx is ReplaySessionCtx over already-decoded op DTOs — the
@@ -115,63 +94,16 @@ func (e *Engine) replayOps(ctx context.Context, ops []Op, fields Fields) (*Resul
 }
 
 // DecodeSessionDTOs extracts the replayable op DTOs from a session file
-// without touching any graph: v2 files carry them verbatim, v1 files
-// have them synthesized from the final query. Graph-free so a
-// scatter-gather router can canonicalize an uploaded session into its
-// own op log before fanning the replay out to the shards.
+// without touching any graph, so a scatter-gather router can
+// canonicalize an uploaded session into its own op log before fanning
+// the replay out to the shards.
 func DecodeSessionDTOs(data []byte) ([]OpDTO, error) {
-	var probe struct {
-		Version int `json:"version"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	var f sessionFile
+	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, &Error{Kind: KindInvalid, Msg: "session: " + err.Error(), Err: err}
 	}
-	switch probe.Version {
-	case 2:
-		var f sessionFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, &Error{Kind: KindInvalid, Msg: "session: " + err.Error(), Err: err}
-		}
-		return f.Ops, nil
-	case 1:
-		var f legacySessionFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, &Error{Kind: KindInvalid, Msg: "session: " + err.Error(), Err: err}
-		}
-		if len(f.Actions) == 0 {
-			return nil, nil
-		}
-		// Only the final query is recoverable from a v1 file; synthesize
-		// the ops that rebuild it.
-		q := f.Actions[len(f.Actions)-1].Query
-		var dtos []OpDTO
-		if q.Keywords != "" {
-			dtos = append(dtos, OpDTO{Op: string(OpKindSubmit), Keywords: q.Keywords})
-		}
-		for _, iri := range q.Seeds {
-			dtos = append(dtos, OpDTO{Op: string(OpKindAddSeed), Entity: iri})
-		}
-		for _, label := range q.Features {
-			dtos = append(dtos, OpDTO{Op: string(OpKindAddFeature), Feature: label})
-		}
-		return dtos, nil
-	default:
-		return nil, Errf(KindInvalid, "session: unsupported version %d", probe.Version)
+	if f.Version != 2 {
+		return nil, Errf(KindInvalid, "session: unsupported version %d", f.Version)
 	}
-}
-
-func decodeSessionOps(e *Engine, data []byte) ([]Op, int, error) {
-	dtos, err := DecodeSessionDTOs(data)
-	if err != nil {
-		return nil, -1, err
-	}
-	ops := make([]Op, 0, len(dtos))
-	for i, d := range dtos {
-		op, err := DecodeOp(e.Graph(), d)
-		if err != nil {
-			return nil, i, wrapf(err, "session: op %d", i)
-		}
-		ops = append(ops, op)
-	}
-	return ops, -1, nil
+	return f.Ops, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,11 +11,11 @@ import (
 
 func TestSessionPersistRoundTrip(t *testing.T) {
 	e, f := newEngine(t)
-	e.Submit("forrest gump")
-	e.AddSeed(f.E("Forrest_Gump"))
+	mustApply(t, e, OpSubmit("forrest gump"))
+	mustApply(t, e, OpAddSeed(f.E("Forrest_Gump")))
 	th := semfeat.Feature{Anchor: f.E("Tom_Hanks"), Pred: f.E("p:starring"), Dir: semfeat.Backward}
-	e.AddFeature(th)
-	want := e.Evaluate()
+	mustApply(t, e, OpAddFeature(th))
+	want := mustEval(t, e)
 
 	raw, err := e.SaveSession()
 	if err != nil {
@@ -31,7 +32,7 @@ func TestSessionPersistRoundTrip(t *testing.T) {
 	// IDs): the symbolic references must re-resolve.
 	f2 := kgtest.Build()
 	e2 := New(f2.Graph, Options{TopEntities: 10, TopFeatures: 8})
-	got, err := e2.LoadSession(raw)
+	got, err := e2.LoadSessionCtx(context.Background(), raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,20 +48,20 @@ func TestSessionPersistRoundTrip(t *testing.T) {
 		}
 	}
 	// Timeline survives, so revisit works after reload.
-	if _, err := e2.Revisit(1); err != nil {
+	if _, err := e2.Apply(context.Background(), OpRevisit(1)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLoadSessionRejectsForeignReferences(t *testing.T) {
 	e, f := newEngine(t)
-	e.AddSeed(f.E("Forrest_Gump"))
+	mustApply(t, e, OpAddSeed(f.E("Forrest_Gump")))
 	raw, err := e.SaveSession()
 	if err != nil {
 		t.Fatal(err)
 	}
 	broken := strings.ReplaceAll(string(raw), "Forrest_Gump", "Not_A_Real_Entity")
-	if _, err := e.LoadSession([]byte(broken)); err == nil {
+	if _, err := e.LoadSessionCtx(context.Background(), []byte(broken)); err == nil {
 		t.Fatal("no error for unknown entity reference")
 	}
 }

@@ -121,7 +121,10 @@ func RunF3(env *Env) Artifact {
 			files["heatmap.json"] = string(raw)
 		}
 	}
-	profile := eng.Lookup(env.anchor("Forrest_Gump"))
+	profile, err := eng.LookupCtx(context.Background(), env.anchor("Forrest_Gump"))
+	if err != nil {
+		panic("eval: F3 lookup failed: " + err.Error())
+	}
 	text := "Figure 3: PivotE workspace for query \"forrest gump\" + entity Forrest_Gump\n\n" +
 		res.RenderASCII() + "\nEntity presentation area (d):\n" + profile.Render()
 	return Artifact{

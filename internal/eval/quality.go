@@ -24,8 +24,9 @@ type Config struct {
 	TopK          int   // ranking depth handed to the metrics
 }
 
-// DefaultConfig is the configuration the committed EXPERIMENTS.md numbers
-// were produced with.
+// DefaultConfig is the full experiment configuration: cmd/pivote-eval's
+// defaults (scale 1000, 100 queries), which DESIGN.md's experiment index
+// describes.
 func DefaultConfig() Config {
 	return Config{
 		Scale:         1000,

@@ -101,7 +101,12 @@ func Run(g *kg.Graph, eng *core.Engine, in io.Reader, out io.Writer) error {
 			case "pivot":
 				apply(core.OpPivot(id))
 			case "profile":
-				fmt.Fprint(out, eng.Lookup(id).Render())
+				p, err := eng.LookupCtx(ctx, id)
+				if err != nil {
+					fmt.Fprintf(out, "%v\n", err)
+					continue
+				}
+				fmt.Fprint(out, p.Render())
 			}
 		case "feature", "unfeature":
 			f, err := semfeat.Parse(g, arg)
@@ -115,7 +120,12 @@ func Run(g *kg.Graph, eng *core.Engine, in io.Reader, out io.Writer) error {
 				apply(core.OpRemoveFeature(f))
 			}
 		case "show":
-			render(eng.Evaluate())
+			res, err := eng.EvaluateCtx(ctx, core.FieldsAll)
+			if err != nil {
+				fmt.Fprintf(out, "%v\n", err)
+				continue
+			}
+			render(res)
 		case "heat":
 			if last == nil || last.Heat == nil || len(last.Heat.Features) == 0 {
 				fmt.Fprintln(out, "no heat map yet — run a query first")
@@ -177,7 +187,7 @@ func Run(g *kg.Graph, eng *core.Engine, in io.Reader, out io.Writer) error {
 				fmt.Fprintf(out, "%v\n", err)
 				continue
 			}
-			res, err := eng.LoadSession(raw)
+			res, err := eng.LoadSessionCtx(ctx, raw)
 			if err != nil {
 				fmt.Fprintf(out, "%v\n", err)
 				continue

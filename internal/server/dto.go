@@ -1,26 +1,16 @@
-// Package server exposes a PivotE engine over HTTP: a JSON API mirroring
-// every interaction of the paper's interface plus an embedded
-// single-page web UI. One Server wraps one engine (one user session);
-// requests are serialized with a mutex because the underlying session is
-// stateful.
+// Package server exposes a PivotE engine over HTTP: the /api/v1 JSON
+// API, which carries every interaction of the paper's interface as an
+// op, plus an embedded single-page web UI that speaks it. One Server
+// wraps one engine (one user session) behind a sync.RWMutex: reads of
+// the session run concurrently, ops that change it serialize.
 package server
 
 import (
 	"pivote/internal/apidto"
 	"pivote/internal/core"
-	"pivote/internal/heatmap"
 	"pivote/internal/kg"
 	"pivote/internal/session"
 )
-
-// stateDTO is the JSON form of a core.Result.
-type stateDTO struct {
-	Description string          `json:"description"`
-	Entities    []EntityDTO     `json:"entities"`
-	Features    []FeatureDTO    `json:"features"`
-	Heat        *heatmap.Matrix `json:"heat,omitempty"`
-	Timeline    []TimelineDTO   `json:"timeline"`
-}
 
 // The v1 wire types live in internal/apidto (a leaf package shared with
 // the inter-node binary codec in internal/wire) and are re-exported
@@ -49,35 +39,18 @@ type factDTO struct {
 	Value     string `json:"value"`
 }
 
-type errorDTO struct {
-	Error string `json:"error"`
-}
-
-// StateV1DTO is the /api/v1 state shape: identical to stateDTO except
-// that unrequested areas are omitted entirely (the engine leaves them
-// nil under field selection), so a ?include=entities response carries no
-// feature, heat-map or timeline payload at all. Exported (with the rest
-// of the v1 wire types) so the scatter-gather router can decode, merge
-// and re-encode shard responses without drifting from the shapes the
-// shard nodes serve.
+// StateV1DTO is the /api/v1 state shape. Unrequested areas are omitted
+// entirely (the engine leaves them nil under field selection), so a
+// ?include=entities response carries no feature, heat-map or timeline
+// payload at all. Exported (with the rest of the v1 wire types) so the
+// scatter-gather router can decode, merge and re-encode shard responses
+// without drifting from the shapes the shard nodes serve.
 type StateV1DTO = apidto.StateV1DTO
 
 // ToStateV1DTO renders a result in the v1 wire shape against the graph
 // it was evaluated on.
 func ToStateV1DTO(g *kg.Graph, res *core.Result) StateV1DTO {
-	full := toStateDTO(g, res)
-	return StateV1DTO{
-		Description: full.Description,
-		Entities:    full.Entities,
-		Features:    full.Features,
-		Heat:        full.Heat,
-		Timeline:    full.Timeline,
-		Fallback:    res.Fallback,
-	}
-}
-
-func toStateDTO(g *kg.Graph, res *core.Result) stateDTO {
-	dto := stateDTO{Description: res.Description, Heat: res.Heat}
+	dto := StateV1DTO{Description: res.Description, Heat: res.Heat, Fallback: res.Fallback}
 	for _, e := range res.Entities {
 		typeName := ""
 		if t := g.PrimaryType(e.Entity); t != 0 {

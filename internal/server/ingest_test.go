@@ -63,7 +63,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	if id := sh.Graph().EntityByName("Ingested_Film"); id == 0 {
 		t.Fatal("ingested entity not in the new generation's universe")
 	}
-	sresp, err := http.Get(ts.URL + "/api/suggest?q=zanzibar+mystery")
+	sresp, err := http.Get(ts.URL + "/api/v1/suggest?q=zanzibar+mystery")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,10 @@ func TestMultiConcurrentSessions(t *testing.T) {
 		return &http.Client{Jar: jar}
 	}
 
-	post := func(c *http.Client, path string, body interface{}) error {
-		raw, _ := json.Marshal(body)
-		resp, err := c.Post(ts.URL+path, "application/json", bytes.NewReader(raw))
+	// post applies one op as a single-op /api/v1/ops batch.
+	post := func(c *http.Client, op core.OpDTO) error {
+		raw, _ := json.Marshal(map[string]interface{}{"ops": []core.OpDTO{op}})
+		resp, err := c.Post(ts.URL+"/api/v1/ops", "application/json", bytes.NewReader(raw))
 		if err != nil {
 			return err
 		}
@@ -43,7 +44,7 @@ func TestMultiConcurrentSessions(t *testing.T) {
 			return err
 		}
 		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST %s: status %d", path, resp.StatusCode)
+			return fmt.Errorf("POST /api/v1/ops %s: status %d", op.Op, resp.StatusCode)
 		}
 		return nil
 	}
@@ -53,8 +54,13 @@ func TestMultiConcurrentSessions(t *testing.T) {
 			return err
 		}
 		defer resp.Body.Close()
-		_, err = io.Copy(io.Discard, resp.Body)
-		return err
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("GET %s: status %d", path, resp.StatusCode)
+		}
+		return nil
 	}
 
 	const writers = 4
@@ -64,7 +70,7 @@ func TestMultiConcurrentSessions(t *testing.T) {
 	// One shared session exercised by all the readers while one writer
 	// mutates it.
 	sharedClient := newClient()
-	if err := post(sharedClient, "/api/query", map[string]string{"keywords": "forrest"}); err != nil {
+	if err := post(sharedClient, core.OpDTO{Op: "submit", Keywords: "forrest"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,15 +83,15 @@ func TestMultiConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			c := newClient() // distinct cookie → distinct session
 			for i := 0; i < iters; i++ {
-				if err := post(c, "/api/query", map[string]string{"keywords": "hanks"}); err != nil {
+				if err := post(c, core.OpDTO{Op: "submit", Keywords: "hanks"}); err != nil {
 					errs <- err
 					return
 				}
-				if err := post(c, "/api/entity/add", map[string]string{"name": "Forrest_Gump"}); err != nil {
+				if err := post(c, core.OpDTO{Op: "add-entity", Entity: "Forrest_Gump"}); err != nil {
 					errs <- err
 					return
 				}
-				if err := post(c, "/api/pivot", map[string]string{"name": "Tom_Hanks"}); err != nil {
+				if err := post(c, core.OpDTO{Op: "pivot", Entity: "Tom_Hanks"}); err != nil {
 					errs <- err
 					return
 				}
@@ -97,11 +103,11 @@ func TestMultiConcurrentSessions(t *testing.T) {
 	go func() { // writer on the shared session
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if err := post(sharedClient, "/api/entity/add", map[string]string{"name": "Apollo_13"}); err != nil {
+			if err := post(sharedClient, core.OpDTO{Op: "add-entity", Entity: "Apollo_13"}); err != nil {
 				errs <- err
 				return
 			}
-			if err := post(sharedClient, "/api/entity/remove", map[string]string{"name": "Apollo_13"}); err != nil {
+			if err := post(sharedClient, core.OpDTO{Op: "remove-entity", Entity: "Apollo_13"}); err != nil {
 				errs <- err
 				return
 			}
@@ -113,7 +119,7 @@ func TestMultiConcurrentSessions(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				for _, p := range []string{"/api/state", "/api/heatmap.svg", "/api/path.svg", "/api/suggest?q=gump"} {
+				for _, p := range []string{"/api/v1/state", "/api/v1/heatmap.svg", "/api/v1/path.svg", "/api/v1/suggest?q=gump"} {
 					if err := get(sharedClient, p); err != nil {
 						errs <- err
 						return

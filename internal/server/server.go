@@ -2,8 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -20,12 +18,12 @@ import (
 //
 // Concurrency model: each generation's graph, search index and feature
 // cache are immutable or internally synchronized, so read-only handlers
-// (state, heat map, path renderings, suggest, explain, session save)
+// (state, heat map, path renderings, suggest, explain, session download)
 // evaluate concurrently under a read lock. Only handlers that mutate the
-// session timeline (query, entity/feature ops, pivot, revisit, profile
-// lookup, session load) serialize behind the write lock. Live ingest
-// never takes the session lock at all — it goes straight to the shared
-// generational store, which synchronizes writers itself.
+// session timeline (ops, profile lookup, session load) serialize behind
+// the write lock. Live ingest never takes the session lock at all — it
+// goes straight to the shared generational store, which synchronizes
+// writers itself.
 type Server struct {
 	mu  sync.RWMutex
 	eng *core.Engine
@@ -48,14 +46,13 @@ func NewWithShared(sh *core.Shared, opts core.Options) *Server {
 	return &Server{eng: core.NewWithShared(sh, opts)}
 }
 
-// Handler returns the HTTP handler: the versioned operation protocol
-// under /api/v1/, the legacy single-op JSON API under /api/, the
-// observability surface (/metrics, /api/v1/stats, /api/v1/debug/slow),
-// and the embedded UI at /. Both API generations drive the same
-// Engine.Apply entry point; the legacy routes survive as one-op
-// conveniences. Every API route is wrapped in the obs middleware: a
-// per-route latency histogram + status-class counter, a pooled stage
-// Recorder on the request context, and slow-query capture.
+// Handler returns the HTTP handler: the versioned operation protocol and
+// its read-only renderings under /api/v1/, the observability surface
+// (/metrics, /api/v1/stats, /api/v1/debug/slow), and the embedded UI at
+// /. Every API route is wrapped in the obs middleware: a per-route
+// latency histogram + status-class counter, a pooled stage Recorder on
+// the request context, and slow-query capture. Every handler reports
+// errors in the typed v1 envelope.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
@@ -64,29 +61,19 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /{$}", s.handleUI)
 	handle("POST /api/v1/ops", s.handleV1Ops)
 	handle("GET /api/v1/state", s.handleV1State)
+	handle("GET /api/v1/session", s.handleV1SessionSave)
+	handle("POST /api/v1/session", s.handleV1SessionLoad)
+	handle("GET /api/v1/profile", s.handleProfile)
+	handle("GET /api/v1/heatmap.svg", s.handleHeatmapSVG)
+	handle("GET /api/v1/path.svg", s.handlePathSVG)
+	handle("GET /api/v1/path.dot", s.handlePathDOT)
+	handle("GET /api/v1/suggest", s.handleSuggest)
+	handle("GET /api/v1/explain", s.handleExplain)
 	handle("POST /api/v1/ingest", s.handleV1Ingest)
 	handle("POST /api/v1/compact", s.handleV1Compact)
 	handle("GET /api/v1/snapshot", s.handleV1Snapshot)
 	handle("POST /api/v1/adopt", s.handleV1Adopt)
 	handle("GET /api/v1/live", s.handleV1LiveStats)
-	handle("GET /api/v1/session", s.handleV1SessionSave)
-	handle("POST /api/v1/session", s.handleV1SessionLoad)
-	handle("GET /api/state", s.handleState)
-	handle("POST /api/query", s.handleQuery)
-	handle("POST /api/entity/add", s.entityOp(core.OpAddSeed))
-	handle("POST /api/entity/remove", s.entityOp(core.OpRemoveSeed))
-	handle("POST /api/pivot", s.entityOp(core.OpPivot))
-	handle("POST /api/feature/add", s.featureOp(core.OpAddFeature))
-	handle("POST /api/feature/remove", s.featureOp(core.OpRemoveFeature))
-	handle("POST /api/revisit", s.handleRevisit)
-	handle("GET /api/profile", s.handleProfile)
-	handle("GET /api/heatmap.svg", s.handleHeatmapSVG)
-	handle("GET /api/path.svg", s.handlePathSVG)
-	handle("GET /api/path.dot", s.handlePathDOT)
-	handle("GET /api/suggest", s.handleSuggest)
-	handle("GET /api/explain", s.handleExplain)
-	handle("GET /api/session/save", s.handleSessionSave)
-	handle("POST /api/session/load", s.handleSessionLoad)
 	obs.MetricsRoutes(mux, obs.Default, obs.SlowQueries)
 	return mux
 }
@@ -112,25 +99,10 @@ func WriteV1Error(w http.ResponseWriter, err error, opIndex *int) {
 	writeV1Err(w, err, opIndex)
 }
 
-func writeErr(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeJSON(w, status, errorDTO{Error: fmt.Sprintf(format, args...)})
-}
-
-// writeEngineErr renders a typed engine error in the legacy envelope,
-// with the status derived from its kind.
-func writeEngineErr(w http.ResponseWriter, err error) {
-	writeErr(w, StatusOf(core.KindOf(err)), "%v", err)
-}
-
-func (s *Server) writeState(w http.ResponseWriter, res *core.Result) {
-	// Render against the generation the result was computed on, not the
-	// one current at write time — a swap between evaluation and
-	// serialization must not mix generations in one response.
-	writeJSON(w, http.StatusOK, toStateDTO(resultGraph(s, res), res))
-}
-
 // resultGraph picks the graph to render a result with: the result's own
 // pinned generation when it has one, the current generation otherwise.
+// A compaction swap between evaluation and serialization must not mix
+// generations in one response.
 func resultGraph(s *Server, res *core.Result) *kg.Graph {
 	if g := res.Graph(); g != nil {
 		return g
@@ -143,154 +115,46 @@ func (s *Server) handleUI(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte(indexHTML))
 }
 
-func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	res, err := s.eng.EvaluateCtx(r.Context(), core.FieldsAll)
-	s.mu.RUnlock()
-	if err != nil {
-		writeEngineErr(w, err)
-		return
-	}
-	s.writeState(w, res)
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Keywords string `json:"keywords"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	s.mu.Lock()
-	res, err := s.eng.Apply(r.Context(), core.OpSubmit(body.Keywords))
-	s.mu.Unlock()
-	if err != nil {
-		writeEngineErr(w, err)
-		return
-	}
-	s.writeState(w, res)
-}
-
-// resolveEntity accepts {"id": N} or {"name": "Forrest_Gump"}. The
-// graph is captured once so validation and resolution agree on one
-// generation even if a compaction swap lands mid-request.
-func (s *Server) resolveEntity(r *http.Request) (rdf.TermID, error) {
-	g := s.graph()
-	var body struct {
-		ID   uint32 `json:"id"`
-		Name string `json:"name"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		return rdf.NoTerm, fmt.Errorf("bad request body: %v", err)
-	}
-	if body.ID != 0 {
-		id := rdf.TermID(body.ID)
-		if !g.IsEntity(id) {
-			return rdf.NoTerm, fmt.Errorf("id %d is not an entity", body.ID)
-		}
-		return id, nil
-	}
-	if body.Name != "" {
-		if id := g.EntityByName(body.Name); id != rdf.NoTerm {
-			return id, nil
-		}
-		return rdf.NoTerm, fmt.Errorf("unknown entity %q", body.Name)
-	}
-	return rdf.NoTerm, fmt.Errorf("need id or name")
-}
-
-func (s *Server) entityOp(mk func(rdf.TermID) core.Op) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		id, err := s.resolveEntity(r)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.mu.Lock()
-		res, err := s.eng.Apply(r.Context(), mk(id))
-		s.mu.Unlock()
-		if err != nil {
-			writeEngineErr(w, err)
-			return
-		}
-		s.writeState(w, res)
-	}
-}
-
-func (s *Server) featureOp(mk func(semfeat.Feature) core.Op) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var body struct {
-			Label string `json:"label"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
-		f, err := semfeat.Parse(s.graph(), body.Label)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.mu.Lock()
-		res, err := s.eng.Apply(r.Context(), mk(f))
-		s.mu.Unlock()
-		if err != nil {
-			writeEngineErr(w, err)
-			return
-		}
-		s.writeState(w, res)
-	}
-}
-
-func (s *Server) handleRevisit(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Step int `json:"step"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	s.mu.Lock()
-	res, err := s.eng.Apply(r.Context(), core.OpRevisit(body.Step))
-	s.mu.Unlock()
-	if err != nil {
-		writeEngineErr(w, err)
-		return
-	}
-	s.writeState(w, res)
-}
-
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	g := s.graph()
-	idStr := r.URL.Query().Get("id")
-	name := r.URL.Query().Get("name")
-	var id rdf.TermID
+// entityParam resolves an entity given by numeric id (preferred) or by
+// name/IRI against one graph: a malformed or missing parameter is
+// KindInvalid, a well-formed reference to no entity KindNotFound.
+func entityParam(g *kg.Graph, idStr, name string) (rdf.TermID, error) {
 	switch {
 	case idStr != "":
 		n, err := strconv.ParseUint(idStr, 10, 32)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "bad id %q", idStr)
-			return
+			return rdf.NoTerm, core.Errf(core.KindInvalid, "bad entity id %q", idStr)
 		}
-		id = rdf.TermID(n)
-		if !g.IsEntity(id) {
-			writeErr(w, http.StatusNotFound, "id %d is not an entity", n)
-			return
+		if !g.IsEntity(rdf.TermID(n)) {
+			return rdf.NoTerm, core.Errf(core.KindNotFound, "id %d is not an entity", n)
 		}
+		return rdf.TermID(n), nil
 	case name != "":
-		id = g.EntityByName(name)
-		if id == rdf.NoTerm {
-			writeErr(w, http.StatusNotFound, "unknown entity %q", name)
-			return
+		if id := g.EntityByName(name); id != rdf.NoTerm {
+			return id, nil
 		}
-	default:
-		writeErr(w, http.StatusBadRequest, "need id or name")
+		return rdf.NoTerm, core.Errf(core.KindNotFound, "unknown entity %q", name)
+	}
+	return rdf.NoTerm, core.Errf(core.KindInvalid, "need id or name")
+}
+
+// handleProfile serves an entity profile (Fig. 3-d) for ?id= or ?name=
+// and records the view on the timeline as a lookup op.
+func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	id, err := entityParam(s.graph(), q.Get("id"), q.Get("name"))
+	if err != nil {
+		writeV1Err(w, err, nil)
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	writeJSON(w, http.StatusOK, toProfileDTO(s.eng.Lookup(id)))
+	p, err := s.eng.LookupCtx(r.Context(), id)
+	s.mu.Unlock()
+	if err != nil {
+		writeV1Err(w, err, nil)
+		return
+	}
+	writeJSON(w, http.StatusOK, toProfileDTO(p))
 }
 
 // emptySVG is the minimal valid document served when no heat map
@@ -305,7 +169,7 @@ func (s *Server) handleHeatmapSVG(w http.ResponseWriter, r *http.Request) {
 	res, err := s.eng.EvaluateCtx(r.Context(), core.FieldHeatmap)
 	s.mu.RUnlock()
 	if err != nil {
-		writeEngineErr(w, err)
+		writeV1Err(w, err, nil)
 		return
 	}
 	w.Header().Set("Content-Type", "image/svg+xml")
@@ -339,21 +203,15 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// One graph capture for the whole request: validation, probability
 	// and name rendering must agree on a single generation.
 	g := s.graph()
-	idStr := r.URL.Query().Get("entity")
-	label := r.URL.Query().Get("feature")
-	n, err := strconv.ParseUint(idStr, 10, 32)
+	id, err := entityParam(g, r.URL.Query().Get("entity"), "")
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad entity id %q", idStr)
+		writeV1Err(w, err, nil)
 		return
 	}
-	id := rdf.TermID(n)
-	if !g.IsEntity(id) {
-		writeErr(w, http.StatusNotFound, "id %d is not an entity", n)
-		return
-	}
+	label := r.URL.Query().Get("feature")
 	f, err := semfeat.Parse(g, label)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		writeV1Err(w, &core.Error{Kind: core.KindInvalid, Msg: err.Error(), Err: err}, nil)
 		return
 	}
 	s.mu.RLock()
@@ -379,35 +237,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleSessionSave(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	raw, err := s.eng.SaveSession()
-	s.mu.RUnlock()
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="pivote-session.json"`)
-	_, _ = w.Write(raw)
-}
-
-func (s *Server) handleSessionLoad(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	s.mu.Lock()
-	res, err := s.eng.LoadSessionCtx(r.Context(), raw)
-	s.mu.Unlock()
-	if err != nil {
-		writeEngineErr(w, err)
-		return
-	}
-	s.writeState(w, res)
-}
-
 func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	if q == "" {
@@ -418,7 +247,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	hits, err := s.eng.Searcher().SearchCtx(r.Context(), q, 10, search.ModelMLM)
 	s.mu.RUnlock()
 	if err != nil {
-		writeEngineErr(w, err)
+		writeV1Err(w, err, nil)
 		return
 	}
 	out := make([]EntityDTO, 0, len(hits))

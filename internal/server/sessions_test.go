@@ -31,32 +31,30 @@ func clientWithJar(t *testing.T) *http.Client {
 	return &http.Client{Jar: jar}
 }
 
-func postQuery(t *testing.T, c *http.Client, url, keywords string) stateDTO {
+func postQuery(t *testing.T, c *http.Client, url, keywords string) StateV1DTO {
 	t.Helper()
-	raw, _ := json.Marshal(map[string]string{"keywords": keywords})
-	resp, err := c.Post(url+"/api/query", "application/json", bytes.NewReader(raw))
+	raw, _ := json.Marshal(map[string]interface{}{
+		"ops": []core.OpDTO{{Op: "submit", Keywords: keywords}},
+	})
+	resp, err := c.Post(url+"/api/v1/ops", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st stateDTO
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	return st
+	var out OpsResponse
+	decodeOK(t, resp, &out)
+	return out.State
 }
 
-func getState(t *testing.T, c *http.Client, url string) stateDTO {
+func getState(t *testing.T, c *http.Client, url string) StateV1DTO {
 	t.Helper()
-	resp, err := c.Get(url + "/api/state")
+	resp, err := c.Get(url + "/api/v1/state")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st stateDTO
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	var st StateV1DTO
+	decodeOK(t, resp, &st)
 	return st
 }
 
@@ -108,27 +106,29 @@ func TestMultiSessionEviction(t *testing.T) {
 
 func TestSessionSaveLoadEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t)
-	postJSON(t, ts.URL+"/api/query", map[string]string{"keywords": "forrest gump"})
-	postJSON(t, ts.URL+"/api/entity/add", map[string]string{"name": "Forrest_Gump"})
+	postOps(t, ts.URL,
+		core.OpDTO{Op: "submit", Keywords: "forrest gump"},
+		core.OpDTO{Op: "add-entity", Entity: "Forrest_Gump"})
 
-	resp, err := http.Get(ts.URL + "/api/session/save")
-	if err != nil {
-		t.Fatal(err)
+	resp := getURL(t, ts.URL+"/api/v1/session")
+	if cd := resp.Header.Get("Content-Disposition"); !strings.Contains(cd, "pivote-session.json") {
+		t.Fatalf("session download disposition = %q", cd)
 	}
 	saved := new(bytes.Buffer)
 	_, _ = saved.ReadFrom(resp.Body)
-	resp.Body.Close()
 	if !strings.Contains(saved.String(), "Forrest_Gump") {
 		t.Fatal("saved session lacks the seed")
 	}
 
 	// Load into a fresh server.
 	ts2, _ := newTestServer(t)
-	resp2, err := http.Post(ts2.URL+"/api/session/load", "application/json", bytes.NewReader(saved.Bytes()))
+	resp2, err := http.Post(ts2.URL+"/api/v1/session", "application/json", bytes.NewReader(saved.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := decodeState(t, resp2)
+	defer resp2.Body.Close()
+	var st StateV1DTO
+	decodeOK(t, resp2, &st)
 	if !strings.Contains(st.Description, "Forrest Gump") {
 		t.Fatalf("loaded description = %q", st.Description)
 	}
@@ -136,13 +136,19 @@ func TestSessionSaveLoadEndpoints(t *testing.T) {
 		t.Fatalf("loaded timeline = %d actions", len(st.Timeline))
 	}
 
-	// Malformed load is rejected.
-	resp3, err := http.Post(ts2.URL+"/api/session/load", "application/json", strings.NewReader("{bad"))
-	if err != nil {
-		t.Fatal(err)
+	// A malformed file and a retired v1 file are both rejected, and
+	// neither touches the loaded session.
+	for _, bad := range []string{"{bad", `{"version":1,"actions":[]}`} {
+		resp3, err := http.Post(ts2.URL+"/api/v1/session", "application/json", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp3.Body.Close()
+		expectV1Err(t, resp3, http.StatusBadRequest, core.KindInvalid)
 	}
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad load status = %d", resp3.StatusCode)
+	var after StateV1DTO
+	decodeOK(t, getURL(t, ts2.URL+"/api/v1/state"), &after)
+	if after.Description != st.Description || len(after.Timeline) != 2 {
+		t.Fatalf("rejected loads changed the session: %+v", after)
 	}
 }

@@ -1,11 +1,12 @@
 package server
 
 // indexHTML is the embedded single-page UI: the five areas of the paper's
-// Figure 3 rendered with vanilla JavaScript against the JSON API.
+// Figure 3 rendered with vanilla JavaScript against /api/v1.
 // Interactions mirror the demo: click an entity to look up its profile,
 // "+" to add it as an example, double-click to pivot into its domain;
-// click a feature to pin it as a condition, double-click to pivot to its
-// anchor; the timeline revisits historical queries.
+// "+" on a feature pins it as a condition, double-click pivots to its
+// anchor; the timeline revisits historical queries. Every gesture posts
+// one single-op batch to /api/v1/ops and renders the state it returns.
 const indexHTML = `<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -58,8 +59,12 @@ async function api(path, body) {
   const opts = body ? {method:"POST", headers:{"Content-Type":"application/json"}, body:JSON.stringify(body)} : {};
   const r = await fetch(path, opts);
   const data = await r.json();
-  if (data.error) { alert(data.error); return null; }
+  if (data.error) { alert(data.error.message); return null; }
   return data;
+}
+async function op(o) {
+  const resp = await api("/api/v1/ops", {ops:[o]});
+  if (resp) render(resp.state);
 }
 function render(st) {
   if (!st) return;
@@ -70,10 +75,10 @@ function render(st) {
     const name = document.createElement("span"); name.className="name";
     name.textContent = e.name + (e.type ? " ["+e.type+"]" : "");
     name.onclick = () => profile(e.id);
-    name.ondblclick = () => post("/api/pivot", {id:e.id});
+    name.ondblclick = () => op({op:"pivot", entityId:e.id});
     const add = document.createElement("button"); add.textContent="+";
     add.title="add as example entity";
-    add.onclick = () => post("/api/entity/add", {id:e.id});
+    add.onclick = () => op({op:"add-entity", entityId:e.id});
     const sc = document.createElement("span"); sc.className="score"; sc.textContent = e.score.toFixed(4);
     li.append(add, name, sc); ents.append(li);
   });
@@ -81,9 +86,9 @@ function render(st) {
   (st.features||[]).forEach(f => {
     const li = document.createElement("li");
     const name = document.createElement("span"); name.className="name"; name.textContent = f.label;
-    name.ondblclick = () => post("/api/pivot", {id:f.anchorId});
+    name.ondblclick = () => op({op:"pivot", entityId:f.anchorId});
     const add = document.createElement("button"); add.textContent="+"; add.title="pin as condition";
-    add.onclick = () => post("/api/feature/add", {label:f.label});
+    add.onclick = () => op({op:"add-feature", feature:f.label});
     const sc = document.createElement("span"); sc.className="score";
     sc.textContent = "r="+f.r.toExponential(2)+" |E|="+f.extentSize;
     li.append(add, name, sc); feats.append(li);
@@ -93,7 +98,7 @@ function render(st) {
   (st.timeline||[]).forEach(a => {
     const li = document.createElement("li");
     li.textContent = "["+a.step+"] "+a.label;
-    if (a.changesQuery) li.onclick = () => post("/api/revisit", {step:a.step});
+    if (a.changesQuery) li.onclick = () => op({op:"revisit", step:a.step});
     tl.append(li);
   });
 }
@@ -118,10 +123,9 @@ function renderHeat(h) {
   });
   div.append(t);
 }
-async function post(path, body) { render(await api(path, body)); }
-async function submitQuery() { render(await api("/api/query", {keywords: document.getElementById("q").value})); }
+function submitQuery() { op({op:"submit", keywords:document.getElementById("q").value}); }
 async function profile(id) {
-  const p = await api("/api/profile?id="+id);
+  const p = await api("/api/v1/profile?id="+id);
   if (!p) return;
   let txt = p.name + "\n" + (p.abstract||"") + "\ntypes: " + p.types.join(", ") +
     "\ncategories: " + (p.categories||[]).join(", ") + "\n";
@@ -131,7 +135,7 @@ async function profile(id) {
   document.getElementById("profileText").textContent = txt;
 }
 document.getElementById("q").addEventListener("keydown", e => { if (e.key === "Enter") submitQuery(); });
-api("/api/state").then(render);
+api("/api/v1/state").then(render);
 </script>
 </body>
 </html>

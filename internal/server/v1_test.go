@@ -145,17 +145,23 @@ func TestV1OpsSuccess(t *testing.T) {
 
 // TestV1BatchEquivalence replays a session op log as one batch and
 // asserts the final v1 state is byte-identical to the state reached by
-// the equivalent sequence of legacy single-op calls.
+// posting the same ops one per request.
 func TestV1BatchEquivalence(t *testing.T) {
-	legacyTS, _ := newTestServer(t)
+	seqTS, _ := newTestServer(t)
 	batchTS, _ := newTestServer(t)
 
-	// Drive the legacy server op by op.
-	postJSON(t, legacyTS.URL+"/api/query", map[string]string{"keywords": "forrest gump"})
-	postJSON(t, legacyTS.URL+"/api/entity/add", map[string]string{"name": "Forrest_Gump"})
-	postJSON(t, legacyTS.URL+"/api/feature/add", map[string]string{"label": "Tom_Hanks:starring"})
-	postJSON(t, legacyTS.URL+"/api/pivot", map[string]string{"name": "Tom_Hanks"})
-	postJSON(t, legacyTS.URL+"/api/revisit", map[string]int{"step": 2})
+	// Drive one server op by op, one single-op batch per request.
+	for _, op := range []string{
+		`{"op":"submit","keywords":"forrest gump"}`,
+		`{"op":"add-entity","entity":"Forrest_Gump"}`,
+		`{"op":"add-feature","feature":"Tom_Hanks:starring"}`,
+		`{"op":"pivot","entity":"Tom_Hanks"}`,
+		`{"op":"revisit","step":2}`,
+	} {
+		if resp, raw := doV1(t, "POST", seqTS.URL+"/api/v1/ops", `{"ops":[`+op+`]}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", op, resp.StatusCode, raw)
+		}
+	}
 
 	// The same ops as one atomic batch (one lock acquisition, one
 	// evaluation) on a fresh server.
@@ -170,19 +176,19 @@ func TestV1BatchEquivalence(t *testing.T) {
 		t.Fatalf("batch status = %d: %s", resp.StatusCode, raw)
 	}
 
-	_, legacyState := doV1(t, "GET", legacyTS.URL+"/api/v1/state", "")
+	_, seqState := doV1(t, "GET", seqTS.URL+"/api/v1/state", "")
 	_, batchState := doV1(t, "GET", batchTS.URL+"/api/v1/state", "")
-	if !bytes.Equal(legacyState, batchState) {
-		t.Fatalf("batched replay diverged from sequential legacy calls:\nlegacy: %s\nbatch:  %s",
-			legacyState, batchState)
+	if !bytes.Equal(seqState, batchState) {
+		t.Fatalf("batched replay diverged from sequential single-op posts:\nseq:   %s\nbatch: %s",
+			seqState, batchState)
 	}
 
 	// The op logs are byte-identical too: a session file saved from
 	// either server replays on the other.
-	_, legacyLog := doV1(t, "GET", legacyTS.URL+"/api/v1/session", "")
+	_, seqLog := doV1(t, "GET", seqTS.URL+"/api/v1/session", "")
 	_, batchLog := doV1(t, "GET", batchTS.URL+"/api/v1/session", "")
-	if !bytes.Equal(legacyLog, batchLog) {
-		t.Fatalf("op logs differ:\nlegacy: %s\nbatch: %s", legacyLog, batchLog)
+	if !bytes.Equal(seqLog, batchLog) {
+		t.Fatalf("op logs differ:\nseq:   %s\nbatch: %s", seqLog, batchLog)
 	}
 }
 
@@ -275,7 +281,7 @@ func TestV1SessionRoundTrip(t *testing.T) {
 func TestHeatmapSVGBothBranches(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	resp, raw := doV1(t, "GET", ts.URL+"/api/heatmap.svg", "")
+	resp, raw := doV1(t, "GET", ts.URL+"/api/v1/heatmap.svg", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("empty-branch status = %d", resp.StatusCode)
 	}
@@ -287,7 +293,7 @@ func TestHeatmapSVGBothBranches(t *testing.T) {
 	}
 
 	doV1(t, "POST", ts.URL+"/api/v1/ops", `{"ops":[{"op":"add-entity","entity":"Forrest_Gump"}]}`)
-	resp, full := doV1(t, "GET", ts.URL+"/api/heatmap.svg", "")
+	resp, full := doV1(t, "GET", ts.URL+"/api/v1/heatmap.svg", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(full), "<svg") {
 		t.Fatalf("populated branch = %d: %.80s", resp.StatusCode, full)
 	}

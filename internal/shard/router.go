@@ -973,8 +973,7 @@ func (rt *Router) handleSessionLoad(w http.ResponseWriter, r *http.Request, rs *
 		return
 	}
 	// All shards accepted the replay, so the file decodes; its DTOs are
-	// the new log. (A v1-format upload synthesizes the same ops the
-	// shards synthesized.)
+	// the new log.
 	if derr != nil {
 		server.WriteV1Error(w, core.Errf(core.KindInternal, "session accepted by shards but not decodable: %v", derr), nil)
 		freeOuts(outs)

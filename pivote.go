@@ -30,8 +30,8 @@
 // Apply validates the op (typed errors: NotFound/Invalid/Canceled/
 // Internal), honors context cancellation inside the expensive ranking
 // loops, and records the op in a replayable log — a saved session is
-// nothing but that []Op. The legacy method spellings (eng.Submit,
-// eng.AddSeed, ...) remain as one-line conveniences over Apply.
+// nothing but that []Op. Apply is the only way to change a session;
+// EvaluateCtx re-reads it and LookupCtx returns an entity profile.
 //
 // Real data loads from N-Triples via LoadNTriples; the vocabulary
 // (rdf:type, rdfs:label, dct:subject, dbo:wikiPageRedirects, ...) matches

@@ -2,6 +2,7 @@ package pivote_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,6 +12,16 @@ import (
 
 // demoGraph is shared across tests; generation is deterministic.
 var demoGraph = pivote.GenerateDemo(150, 7)
+
+// mustApply applies one op and fails the test if Apply rejects it.
+func mustApply(t *testing.T, eng *pivote.Engine, op pivote.Op) *pivote.Result {
+	t.Helper()
+	res, err := eng.Apply(context.Background(), op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 func TestGenerateDemoContainsAnchors(t *testing.T) {
 	for _, name := range []string{"Forrest_Gump", "Tom_Hanks", "Apollo_13", "Robert_Zemeckis"} {
@@ -22,22 +33,22 @@ func TestGenerateDemoContainsAnchors(t *testing.T) {
 
 func TestEndToEndScenario(t *testing.T) {
 	eng := pivote.New(demoGraph, pivote.Options{TopEntities: 10, TopFeatures: 8})
-	res := eng.Submit("forrest gump")
+	res := mustApply(t, eng, pivote.OpSubmit("forrest gump"))
 	if len(res.Entities) == 0 {
 		t.Fatal("keyword search empty")
 	}
 	if res.Entities[0].Name != "Forrest Gump" {
 		t.Fatalf("top hit %q", res.Entities[0].Name)
 	}
-	res = eng.AddSeed(res.Entities[0].Entity)
+	res = mustApply(t, eng, pivote.OpAddSeed(res.Entities[0].Entity))
 	if len(res.Entities) == 0 || len(res.Features) == 0 || res.Heat == nil {
 		t.Fatal("investigation state incomplete")
 	}
-	res = eng.Pivot(demoGraph.EntityByName("Tom_Hanks"))
+	res = mustApply(t, eng, pivote.OpPivot(demoGraph.EntityByName("Tom_Hanks")))
 	if len(res.Query.Seeds) != 1 {
 		t.Fatal("pivot did not reseed")
 	}
-	if _, err := eng.Revisit(1); err != nil {
+	if _, err := eng.Apply(context.Background(), pivote.OpRevisit(1)); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Session().Len() != 4 {
@@ -60,7 +71,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// The reloaded graph answers the same query.
 	eng := pivote.New(g2, pivote.Options{})
-	res := eng.Submit("forrest gump")
+	res := mustApply(t, eng, pivote.OpSubmit("forrest gump"))
 	if len(res.Entities) == 0 || res.Entities[0].Name != "Forrest Gump" {
 		t.Fatal("reloaded graph broken")
 	}
@@ -113,7 +124,7 @@ func TestFeatureConditionThroughPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := eng.AddFeature(f)
+	res := mustApply(t, eng, pivote.OpAddFeature(f))
 	if len(res.Entities) < 5 {
 		t.Fatalf("Tom_Hanks:starring returned %d films", len(res.Entities))
 	}
@@ -127,7 +138,10 @@ func TestFeatureConditionThroughPublicAPI(t *testing.T) {
 func ExampleNew() {
 	g := pivote.GenerateDemo(100, 42)
 	eng := pivote.New(g, pivote.Options{TopEntities: 5})
-	res := eng.Submit("forrest gump")
+	res, err := eng.Apply(context.Background(), pivote.OpSubmit("forrest gump"))
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(res.Entities[0].Name)
 	// Output: Forrest Gump
 }
@@ -136,7 +150,10 @@ func ExampleParseFeature() {
 	g := pivote.GenerateDemo(100, 42)
 	f, _ := pivote.ParseFeature(g, "Tom_Hanks:starring")
 	eng := pivote.New(g, pivote.Options{})
-	res := eng.AddFeature(f)
+	res, err := eng.Apply(context.Background(), pivote.OpAddFeature(f))
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(len(res.Entities) >= 5)
 	// Output: true
 }
